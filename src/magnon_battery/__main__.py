@@ -1,0 +1,3 @@
+from .cli import entrypoint
+if __name__ == "__main__":
+    entrypoint()

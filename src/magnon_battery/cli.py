@@ -9,7 +9,9 @@ goes to --out, to the config's own [run] out path, or to stdout.
 
 Exit codes: 0 success, 1 configuration problem (bad arguments, bad
 config text, unreadable file), 2 numerical failure (integration
-breakdown, runaway coefficients, degenerate elimination).
+breakdown, runaway coefficients, degenerate elimination, failed linear
+algebra, floating-point traps).  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -18,9 +20,15 @@ import argparse
 import sys
 from dataclasses import replace
 
+from numpy.linalg import LinAlgError
+
+from .effective import DegeneracyError
 from .experiments import MODES, PRESETS, TOOL_VERSION, ConfigError, parse_config, run_experiment
 
 __all__ = ["main", "entrypoint"]
+
+# RuntimeError covers RiccatiBlowupError and integrator breakdown
+_NUMERICAL_ERRORS = (RuntimeError, DegeneracyError, LinAlgError, FloatingPointError)
 
 
 class _ArgumentError(Exception):
@@ -95,7 +103,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # any solver/model failure maps to exit 2
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.out is None and spec.out is None:

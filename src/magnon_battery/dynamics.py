@@ -5,7 +5,11 @@ operator produced by this package and samples the battery observables
 on a caller-supplied time grid.  Small problems (the default threshold
 covers every configuration in the sweeps) go through a full Hermitian
 eigendecomposition, which makes the phase evolution exact; larger ones
-fall back to an adaptive high-order Runge-Kutta integrator.
+fall back to an adaptive high-order Runge-Kutta integrator.  The
+integrator runs in the frame rotating at the mean diagonal energy, so it
+does not resolve the large constant phase of an excitation sector, and
+it walks the grid in slices so that its memory does not grow with the
+number of samples.
 
 Energies are reported as battery excitation numbers, i.e. in units of
 the spin splitting omega; times and powers are in raw model units.
@@ -34,6 +38,9 @@ __all__ = [
 ]
 
 DENSE_THRESHOLD = 2048
+
+# amplitude rows (complex128, samples x dim) the integrator holds at once
+_SLICE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -107,38 +114,21 @@ def evolve(
     if abs(np.linalg.norm(amps0) - 1.0) > 1e-12:
         raise ValueError("psi0 is not normalized")
 
+    battery = _battery_diagonal(h.basis)
+    magnon_diag = _magnon_diagonal(h.basis)
     if h.dimension <= dense_threshold:
         w, v = np.linalg.eigh(h.toarray())
         coeff = v.conj().T @ amps0
         phases = np.exp(-1j * np.outer(times, w))
         states = (v @ (phases * coeff).T).T
+        energy, norm, magnon = _observables(states, battery, magnon_diag)
     else:
-        matrix = h.matrix
-
-        def rhs(_t, y):
-            return -1j * (matrix @ y)
-
-        sol = solve_ivp(
-            rhs,
-            (times[0], times[-1]),
-            amps0.astype(complex),
-            t_eval=times,
-            method="DOP853",
-            rtol=tol,
-            atol=tol,
+        energy, norm, magnon, states = _integrate(
+            h, amps0, times, tol, battery, magnon_diag, keep_states
         )
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        states = sol.y.T
-
-    probs = np.abs(states) ** 2
-    energy = probs @ _battery_diagonal(h.basis)
-    norm = probs.sum(axis=1)
     power = np.zeros_like(energy)
     positive = times > 0
     power[positive] = energy[positive] / times[positive]
-    magnon_diag = _magnon_diagonal(h.basis)
-    magnon = probs @ magnon_diag if magnon_diag is not None else None
     return Trajectory(
         times=times,
         energy=energy,
@@ -147,6 +137,56 @@ def evolve(
         magnon=magnon,
         states=states if keep_states else None,
     )
+
+
+def _observables(states: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarray | None):
+    """Battery energy, norm and magnon number of each amplitude row."""
+    probs = np.abs(states) ** 2
+    magnon = probs @ magnon_diag if magnon_diag is not None else None
+    return probs @ battery, probs.sum(axis=1), magnon
+
+
+def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):
+    """DOP853 in the frame rotating at c = trace(H)/dim, slice by slice.
+
+    The rotating-frame amplitudes differ from the lab-frame ones by the
+    global phase exp(-i c (t - t0)), which no observable sees; only kept
+    states get it multiplied back.  Each ``solve_ivp`` call covers as many
+    grid samples as fit in ``_SLICE_BYTES`` and starts from the last state
+    of the previous one.
+    """
+    matrix = h.matrix
+    shift = float(matrix.diagonal().real.mean())
+
+    def rhs(_t, y):
+        return -1j * (matrix @ y - shift * y)
+
+    step = max(1, _SLICE_BYTES // (16 * h.dimension))
+    y = amps0.astype(complex)
+    blocks = [_observables(y[None, :], battery, magnon_diag)]
+    kept = [y[None, :]]
+    for start in range(0, times.size - 1, step):
+        grid = times[start + 1 : start + 1 + step]
+        sol = solve_ivp(
+            rhs,
+            (times[start], grid[-1]),
+            y,
+            t_eval=grid,
+            method="DOP853",
+            rtol=tol,
+            atol=tol,
+        )
+        if not sol.success:
+            raise RuntimeError(f"integration failed: {sol.message}")
+        rows = sol.y.T
+        y = rows[-1].copy()
+        blocks.append(_observables(rows, battery, magnon_diag))
+        if keep_states:
+            kept.append(rows * np.exp(-1j * shift * (grid - times[0]))[:, None])
+    energy, norm, magnon = (
+        np.concatenate(parts) if parts[0] is not None else None for parts in zip(*blocks)
+    )
+    return energy, norm, magnon, np.concatenate(kept) if keep_states else None
 
 
 def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from magnon_battery import (
     enumerate_sector_basis,
     evolve,
 )
-from magnon_battery.dynamics import Trajectory
+from magnon_battery.dynamics import _SLICE_BYTES, Trajectory
 
 
 @pytest.fixture
@@ -63,6 +63,40 @@ def test_dense_and_ode_paths_agree(one_to_one):
     ode = evolve(h, psi0, times, dense_threshold=0, tol=1e-12)
     assert np.max(np.abs(dense.energy - ode.energy)) < 1e-9
     assert np.max(np.abs(dense.norm - ode.norm)) < 1e-9
+
+
+def _full_register(n):
+    cfg = SystemConfig.dispersive(n, n, g_over_delta=0.1)
+    basis = enumerate_sector_basis(n, n, n, n)
+    coupling = effective_couplings(cfg).charger_battery[0, 0]
+    return build_full_hamiltonian(cfg, basis), charged_initial_state(basis), coupling
+
+
+def test_ode_path_honours_tol():
+    # the sector carries a constant omega*N_exc; only a rotating frame
+    # lets the integrator reach its tolerance against exact propagation
+    h, psi0, coupling = _full_register(3)
+    times = np.linspace(0.0, charging_horizon(3, 3, coupling), 401)
+    dense = evolve(h, psi0, times)
+    ode = evolve(h, psi0, times, dense_threshold=0, tol=1e-10)
+    assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
+    assert np.max(np.abs(ode.norm - 1.0)) <= 1e-8
+    assert np.max(np.abs(ode.magnon - dense.magnon)) <= 1e-8
+    assert ode.states is None
+
+
+def test_ode_path_lab_frame_states_across_slices():
+    h, psi0, coupling = _full_register(3)
+    samples = 2 * _SLICE_BYTES // (16 * h.dimension) + 101
+    times = np.linspace(0.0, charging_horizon(3, 3, coupling), samples)
+    assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # three slices at least
+    dense = evolve(h, psi0, times, keep_states=True)
+    ode = evolve(h, psi0, times, dense_threshold=0, keep_states=True)
+    assert ode.states.shape == (samples, h.dimension)
+    # lab-frame amplitudes, global phase included
+    assert np.max(np.abs(ode.states - dense.states)) <= 1e-6
+    assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
+    assert evolve(h, psi0, times, dense_threshold=0).states is None
 
 
 def test_evolve_validation(one_to_one):

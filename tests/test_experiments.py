@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +439,33 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "RiccatiBlowupError" in err
+
+
+def test_cli_bug_is_not_a_numerical_failure(monkeypatch, capsys):
+    import magnon_battery.cli as cli
+
+    def broken(spec, out=None):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["fig2"])
+    assert "numerical failure" not in capsys.readouterr().err
+
+
+def test_python_m_entry_point():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "magnon_battery", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "magnon-battery" in result.stdout
 
 
 def test_cli_version(capsys):
