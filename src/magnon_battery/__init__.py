@@ -16,7 +16,6 @@ from .collective import (
     build_collective_hamiltonian,
     collective_charged_state,
     dicke_embed,
-    enumerate_dicke_sector,
     ladder_matrices,
     ladder_matrix_element,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "DickeBasis",
     "ladder_matrix_element",
     "ladder_matrices",
-    "enumerate_dicke_sector",
     "build_collective_hamiltonian",
     "collective_charged_state",
     "dicke_embed",

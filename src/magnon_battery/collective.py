@@ -24,7 +24,6 @@ __all__ = [
     "DickeBasis",
     "ladder_matrix_element",
     "ladder_matrices",
-    "enumerate_dicke_sector",
     "build_collective_hamiltonian",
     "collective_charged_state",
     "dicke_embed",
@@ -115,10 +114,6 @@ def ladder_matrices(j: float) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matr
     return j_plus, sp.csr_matrix(j_plus.T), j_z
 
 
-def enumerate_dicke_sector(n_charger: int, m_battery: int, total_m: float) -> DickeBasis:
-    return DickeBasis(n_charger, m_battery, total_m)
-
-
 def build_collective_hamiltonian(
     coupling: float,
     n_charger: int,
@@ -135,19 +130,13 @@ def build_collective_hamiltonian(
         total_m = n_charger / 2.0 - m_battery / 2.0
     basis = DickeBasis(n_charger, m_battery, total_m)
     j_c, j_b = basis.j_charger, basis.j_battery
-    rows, cols, vals = [], [], []
-    for p in range(basis.dimension - 1):
-        m_c, m_b = basis.labels[p]
-        elem = coupling * ladder_matrix_element(j_c, m_c, "-") * ladder_matrix_element(
-            j_b, m_b, "+"
-        )
-        rows.extend((p + 1, p))
-        cols.extend((p, p + 1))
-        vals.extend((elem, elem))
-    matrix = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
-    )
-    return HamiltonianMatrix(matrix.tocsr(), basis)
+    m_c, m_b = np.array(basis.labels)[:-1].T
+    # J-_C J+_B takes label p to p + 1
+    lower_c = np.sqrt((j_c - m_c + 1) * (j_c + m_c))
+    raise_b = np.sqrt((j_b + m_b + 1) * (j_b - m_b))
+    elems = coupling * lower_c * raise_b
+    matrix = sp.diags((elems, elems), (-1, 1), shape=(basis.dimension,) * 2, format="csr")
+    return HamiltonianMatrix(matrix, basis)
 
 
 def collective_charged_state(basis: DickeBasis) -> StateVector:
@@ -177,15 +166,12 @@ def dicke_embed(state: StateVector) -> StateVector:
     n, m = basis.n_charger, basis.m_battery
     n_exc = round(basis.total_m + (n + m) / 2.0)
     target = enumerate_sector_basis(n, m, 0, n_exc)
-    amps = np.zeros(target.dimension, dtype=complex)
-    weights = {}
-    for (m_c, m_b), amp in zip(basis.labels, state.amplitudes):
-        n_c = round(m_c + n / 2.0)
-        n_b = round(m_b + m / 2.0)
-        weights[(n_c, n_b)] = amp / math.sqrt(math.comb(n, n_c) * math.comb(m, n_b))
-    for pos, label in enumerate(target.labels):
-        c_bits, _, b_bits = target.split(label)
-        w = weights.get((sum(c_bits), sum(b_bits)))
-        if w is not None:
-            amps[pos] = w
+    # one weight per (charger count, battery count); a count is m + j
+    n_c, n_b = (np.array(basis.labels) + (n / 2.0, m / 2.0)).round().astype(int).T
+    binom_c = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    binom_b = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+    weights = np.zeros((n + 1, m + 1), dtype=complex)
+    weights[n_c, n_b] = state.amplitudes / np.sqrt(binom_c[n_c] * binom_b[n_b])
+    chargers, _, batteries = target._counts()
+    amps = weights[chargers, batteries]
     return StateVector(amps, target)

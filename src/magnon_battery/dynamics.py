@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .collective import DickeBasis
 from .config import SystemConfig
-from .hilbert import HamiltonianMatrix, SectorBasis, StateVector
+from .hilbert import HamiltonianMatrix, SectorBasis, StateVector, _assemble
 
 __all__ = [
     "Trajectory",
@@ -77,18 +77,6 @@ class ChargingMetrics:
     monotone: bool = False
 
 
-def _battery_diagonal(basis) -> np.ndarray:
-    if isinstance(basis, DickeBasis):
-        return np.array([m_b + basis.j_battery for _, m_b in basis.labels], dtype=float)
-    return np.array([sum(basis.split(lab)[2]) for lab in basis.labels], dtype=float)
-
-
-def _magnon_diagonal(basis) -> np.ndarray | None:
-    if isinstance(basis, DickeBasis) or basis.cutoff == 0:
-        return None
-    return np.array([basis.split(lab)[1] for lab in basis.labels], dtype=float)
-
-
 def evolve(
     h: HamiltonianMatrix,
     psi0: StateVector,
@@ -114,8 +102,14 @@ def evolve(
     if abs(np.linalg.norm(amps0) - 1.0) > 1e-12:
         raise ValueError("psi0 is not normalized")
 
-    battery = _battery_diagonal(h.basis)
-    magnon_diag = _magnon_diagonal(h.basis)
+    basis = h.basis
+    if isinstance(basis, DickeBasis):
+        battery = np.array(basis.labels)[:, 1] + basis.j_battery
+        magnon_diag = None
+    else:
+        _, magnons, batteries = basis._counts()
+        battery = batteries.astype(float)
+        magnon_diag = magnons.astype(float) if basis.cutoff else None
     if h.dimension <= dense_threshold:
         w, v = np.linalg.eigh(h.toarray())
         coeff = v.conj().T @ amps0
@@ -149,11 +143,13 @@ def _observables(states: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarra
 def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):
     """DOP853 in the frame rotating at c = trace(H)/dim, slice by slice.
 
-    The rotating-frame amplitudes differ from the lab-frame ones by the
-    global phase exp(-i c (t - t0)), which no observable sees; only kept
-    states get it multiplied back.  Each ``solve_ivp`` call covers as many
-    grid samples as fit in ``_SLICE_BYTES`` and starts from the last state
-    of the previous one.
+    ``amps0`` is the state at t = 0, as on the dense path; a grid that
+    starts elsewhere is first reached by one integration from 0.  The
+    rotating-frame amplitudes differ from the lab-frame ones by the global
+    phase exp(-i c t), which no observable sees; only kept states get it
+    multiplied back.  Each ``solve_ivp`` call covers as many grid samples
+    as fit in ``_SLICE_BYTES`` and starts from the last state of the
+    previous one.
     """
     matrix = h.matrix
     shift = float(matrix.diagonal().real.mean())
@@ -161,28 +157,27 @@ def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):
     def rhs(_t, y):
         return -1j * (matrix @ y - shift * y)
 
-    step = max(1, _SLICE_BYTES // (16 * h.dimension))
-    y = amps0.astype(complex)
-    blocks = [_observables(y[None, :], battery, magnon_diag)]
-    kept = [y[None, :]]
-    for start in range(0, times.size - 1, step):
-        grid = times[start + 1 : start + 1 + step]
+    def solve(t0, grid, y):
         sol = solve_ivp(
-            rhs,
-            (times[start], grid[-1]),
-            y,
-            t_eval=grid,
-            method="DOP853",
-            rtol=tol,
-            atol=tol,
+            rhs, (t0, grid[-1]), y, t_eval=grid, method="DOP853", rtol=tol, atol=tol
         )
         if not sol.success:
             raise RuntimeError(f"integration failed: {sol.message}")
-        rows = sol.y.T
+        return sol.y.T
+
+    step = max(1, _SLICE_BYTES // (16 * h.dimension))
+    y = amps0.astype(complex)
+    if times[0] != 0.0:
+        y = solve(0.0, times[:1], y)[-1]
+    blocks = [_observables(y[None, :], battery, magnon_diag)]
+    kept = [y[None, :] * np.exp(-1j * shift * times[0])]
+    for start in range(0, times.size - 1, step):
+        grid = times[start + 1 : start + 1 + step]
+        rows = solve(times[start], grid, y)
         y = rows[-1].copy()
         blocks.append(_observables(rows, battery, magnon_diag))
         if keep_states:
-            kept.append(rows * np.exp(-1j * shift * (grid - times[0]))[:, None])
+            kept.append(rows * np.exp(-1j * shift * grid)[:, None])
     energy, norm, magnon = (
         np.concatenate(parts) if parts[0] is not None else None for parts in zip(*blocks)
     )
@@ -242,28 +237,10 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
     this diagnostic adds the intra-battery exchange expectation, which
     every closed-form result drops.
     """
-    n, m = basis.n_charger, basis.m_battery
-    jmat = config.j_battery
-    rows, cols, vals = [], [], []
-    for p, label in enumerate(basis.labels):
-        b_bits = basis.split(label)[2]
-        rows.append(p)
-        cols.append(p)
-        vals.append(config.omega * sum(b_bits))
-        for i in range(m):
-            for j in range(m):
-                if i != j and b_bits[i] == 1 and b_bits[j] == 0 and jmat[i, j] != 0.0:
-                    target = list(label)
-                    target[n + 1 + i] = 0
-                    target[n + 1 + j] = 1
-                    q = basis.index.get(tuple(target))
-                    if q is not None:
-                        rows.append(q)
-                        cols.append(p)
-                        vals.append(jmat[i, j])
-    h_battery = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension)
-    ).tocsr()
+    n = basis.n_charger
+    battery = config.omega * basis._counts()[2]
+    exchange = block_diag(np.zeros((n, n)), config.j_battery)
+    h_battery = _assemble(basis, battery, None, exchange)
     amps = psi.amplitudes
     return float(np.vdot(amps, h_battery @ amps).real)
 

@@ -11,15 +11,13 @@ intra-register terms entirely (the sweet spot).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import SystemConfig
-from .hilbert import HamiltonianMatrix, SectorBasis, enumerate_sector_basis
+from .hilbert import HamiltonianMatrix, _assemble, enumerate_sector_basis
 
 __all__ = [
     "DegeneracyError",
@@ -144,46 +142,13 @@ def build_effective_hamiltonian(
     if n_excitations is None:
         n_excitations = config.n_charger
     basis = enumerate_sector_basis(config.n_charger, config.m_battery, 0, n_excitations)
-    n, m = config.n_charger, config.m_battery
-    intra_c = couplings.charger_charger + config.j_charger
-    intra_b = couplings.battery_battery + config.j_battery
-    rows, cols, vals = [], [], []
-    for p, label in enumerate(basis.labels):
-        c_bits, _, b_bits = basis.split(label)
-        for i in range(n):
-            for k in range(m):
-                if c_bits[i] == 1 and b_bits[k] == 0:
-                    target = list(label)
-                    target[i] = 0
-                    target[n + 1 + k] = 1
-                elif c_bits[i] == 0 and b_bits[k] == 1:
-                    target = list(label)
-                    target[i] = 1
-                    target[n + 1 + k] = 0
-                else:
-                    continue
-                q = basis.index.get(tuple(target))
-                if q is not None:
-                    rows.append(q)
-                    cols.append(p)
-                    vals.append(couplings.charger_battery[i, k])
-        for offset, mat in ((0, intra_c), (n + 1, intra_b)):
-            size = mat.shape[0]
-            bits = label[offset:offset + size]
-            for i in range(size):
-                for j in range(size):
-                    if i != j and bits[i] == 1 and bits[j] == 0 and mat[i, j] != 0.0:
-                        target = list(label)
-                        target[offset + i] = 0
-                        target[offset + j] = 1
-                        q = basis.index.get(tuple(target))
-                        if q is not None:
-                            rows.append(q)
-                            cols.append(p)
-                            vals.append(mat[i, j])
-    dim = basis.dimension
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return HamiltonianMatrix(matrix.tocsr(), basis)
+    exchange = np.block(
+        [
+            [couplings.charger_charger + config.j_charger, couplings.charger_battery],
+            [couplings.charger_battery.T, couplings.battery_battery + config.j_battery],
+        ]
+    )
+    return HamiltonianMatrix(_assemble(basis, None, None, exchange), basis)
 
 
 def sweet_spot_j(couplings: EffectiveCouplings) -> float:

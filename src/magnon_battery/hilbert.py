@@ -10,6 +10,18 @@ excitation number is exact, not a truncation.
 Labels are ordered descending-lexicographically, which puts the fully
 charged configuration ``(1,..,1, 0, 0,..,0)`` first and makes matrix
 files reproducible byte for byte.
+
+Each basis turns its labels once into an integer occupation array (one
+row per label) and ranks every row by a mixed-radix key: base 2 for a
+spin, base cutoff+1 for the magnon number.  A hop changes a key by a
+fixed stride, so the targets of a whole term class are found with one
+``searchsorted`` over the sorted keys, whatever the label order; targets
+outside the basis (beyond a truncated cutoff, or in another sector) are
+dropped.  The full model, the effective model and the battery energy
+operator are all emitted by the one assembler ``_assemble`` from a
+diagonal, per-spin mode couplings and a spin flip-flop matrix.  The diagonal and the
+spin-mode hops are always stored, explicit zeros included; a flip-flop
+pair is stored only where its amplitude is nonzero.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from .config import SystemConfig
 
@@ -65,6 +78,18 @@ class SectorBasis:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise ValueError("duplicate labels in basis")
+        radix = [2] * self.n_charger + [self.cutoff + 1] + [2] * self.m_battery
+        occ = np.array(self.labels, dtype=np.int64).reshape(len(self.labels), len(radix))
+        if np.any((occ < 0) | (occ >= np.array(radix))):
+            raise ValueError("label outside the spin and magnon occupation ranges")
+        self._occupations = occ
+        # keys beyond 63 bits (N + M above ~60 spins) stay exact as Python ints
+        key_type = np.int64 if math.prod(radix) < 2**63 else object
+        strides = [math.prod(radix[k + 1 :]) for k in range(len(radix))]
+        self._strides = np.array(strides, dtype=key_type)
+        self._keys = occ @ self._strides
+        self._order = np.argsort(self._keys)
+        self._sorted_keys = self._keys[self._order]
 
     @property
     def dimension(self) -> int:
@@ -74,6 +99,16 @@ class SectorBasis:
         """Split a label into (charger bits, magnon number, battery bits)."""
         n = self.n_charger
         return label[:n], label[n], label[n + 1:]
+
+    def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Excited chargers, magnon number and excited battery spins per label."""
+        occ, n = self._occupations, self.n_charger
+        return occ[:, :n].sum(axis=1), occ[:, n], occ[:, n + 1 :].sum(axis=1)
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        """Basis positions of the labels with these keys, -1 where absent."""
+        at = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self.labels) - 1)
+        return np.where(self._sorted_keys[at] == keys, self._order[at], -1)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -211,6 +246,59 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis):
         )
 
 
+def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
+    """Real sparse matrix of an excitation-conserving Hamiltonian on the basis.
+
+    Spins are numbered chargers first, then battery spins.  ``diagonal``
+    holds one value per label, or is None for no diagonal.
+    ``couplings[s]`` is spin s's exchange g_s with the mode, or None for
+    no mode term; its hops carry the bosonic factor sqrt(n), n the larger
+    magnon number of the pair.  ``flip_flop[s, t]`` is the amplitude that
+    moves an excitation from spin s to spin t; pairs where it is zero are
+    not stored.  Each hop is emitted with its transpose partner.
+    """
+    n, m = basis.n_charger, basis.m_battery
+    occ, strides, keys = basis._occupations, basis._strides, basis._keys
+    spin_cols = np.r_[0:n, n + 1 : n + 1 + m]
+    excited = occ[:, spin_cols] == 1
+    spin_strides = strides[spin_cols]
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+
+    def hop(p, q, forward, backward):
+        rows.extend((q, p))
+        cols.extend((p, q))
+        vals.extend((forward, backward))
+
+    def targets(p, shift):
+        q = basis._positions(keys[p] + shift)
+        hit = q >= 0
+        return hit, q[hit]
+
+    if diagonal is not None:
+        every = np.arange(basis.dimension)
+        rows.append(every)
+        cols.append(every)
+        vals.append(np.asarray(diagonal, dtype=float))
+    if couplings is not None:
+        # spin s lowers, the magnon raises
+        p, s = np.nonzero(excited & (occ[:, n, None] < basis.cutoff))
+        hit, q = targets(p, strides[n] - spin_strides[s])
+        amp = np.asarray(couplings, dtype=float)[s[hit]] * np.sqrt(occ[q, n])
+        hop(p[hit], q, amp, amp)
+    a, b = np.nonzero(np.triu(flip_flop, 1))
+    # the excitation moves from spin a to spin b
+    p, k = np.nonzero(excited[:, a] & ~excited[:, b])
+    hit, q = targets(p, spin_strides[b[k]] - spin_strides[a[k]])
+    a, b = a[k[hit]], b[k[hit]]
+    hop(p[hit], q, flip_flop[a, b], flip_flop[b, a])
+
+    dim = basis.dimension
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
+    return matrix.tocsr()
+
+
 def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> HamiltonianMatrix:
     """Assemble the full spin-magnon Hamiltonian on the given basis.
 
@@ -221,55 +309,11 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
     construction.
     """
     _check_compatible(config, basis)
-    n, m = basis.n_charger, basis.m_battery
-    rows, cols, vals = [], [], []
-
-    def add(q: int, p: int, v: float):
-        rows.append(q)
-        cols.append(p)
-        vals.append(v)
-
-    groups = (
-        (0, config.g_charger, config.j_charger),
-        (n + 1, config.g_battery, config.j_battery),
-    )
-    for p, label in enumerate(basis.labels):
-        n_magnon = label[n]
-        n_spins = sum(label) - n_magnon
-        add(p, p, config.omega * n_spins + config.omega_m * n_magnon)
-        for offset, g, jmat in groups:
-            size = len(g)
-            bits = label[offset:offset + size]
-            for i in range(size):
-                if bits[i] == 1 and n_magnon < basis.cutoff:
-                    # spin lowers, magnon raises
-                    target = list(label)
-                    target[offset + i] = 0
-                    target[n] = n_magnon + 1
-                    q = basis.index.get(tuple(target))
-                    if q is not None:
-                        add(q, p, g[i] * math.sqrt(n_magnon + 1))
-                elif bits[i] == 0 and n_magnon > 0:
-                    # spin raises, magnon lowers
-                    target = list(label)
-                    target[offset + i] = 1
-                    target[n] = n_magnon - 1
-                    q = basis.index.get(tuple(target))
-                    if q is not None:
-                        add(q, p, g[i] * math.sqrt(n_magnon))
-            for i in range(size):
-                for j in range(size):
-                    if i != j and bits[i] == 1 and bits[j] == 0 and jmat[i, j] != 0.0:
-                        target = list(label)
-                        target[offset + i] = 0
-                        target[offset + j] = 1
-                        q = basis.index.get(tuple(target))
-                        if q is not None:
-                            add(q, p, jmat[i, j])
-
-    dim = basis.dimension
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return HamiltonianMatrix(matrix.tocsr(), basis)
+    chargers, magnons, batteries = basis._counts()
+    diagonal = config.omega * (chargers + batteries) + config.omega_m * magnons
+    exchange = block_diag(config.j_charger, config.j_battery)
+    matrix = _assemble(basis, diagonal, config.g_charger + config.g_battery, exchange)
+    return HamiltonianMatrix(matrix, basis)
 
 
 def _diagonal_operator(diag: np.ndarray, basis: SectorBasis) -> HamiltonianMatrix:
@@ -278,20 +322,17 @@ def _diagonal_operator(diag: np.ndarray, basis: SectorBasis) -> HamiltonianMatri
 
 def battery_occupation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal count of excited battery spins."""
-    diag = np.array([sum(basis.split(lab)[2]) for lab in basis.labels], dtype=float)
-    return _diagonal_operator(diag, basis)
+    return _diagonal_operator(basis._counts()[2], basis)
 
 
 def magnon_occupation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal magnon number."""
-    diag = np.array([basis.split(lab)[1] for lab in basis.labels], dtype=float)
-    return _diagonal_operator(diag, basis)
+    return _diagonal_operator(basis._counts()[1], basis)
 
 
 def total_excitation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal total excitation number (constant on a single sector)."""
-    diag = np.array([sum(lab) for lab in basis.labels], dtype=float)
-    return _diagonal_operator(diag, basis)
+    return _diagonal_operator(sum(basis._counts()), basis)
 
 
 def basis_state(basis: SectorBasis, label: Label) -> StateVector:

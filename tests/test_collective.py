@@ -13,7 +13,6 @@ from magnon_battery import (
     collective_charged_state,
     dicke_embed,
     effective_couplings,
-    enumerate_dicke_sector,
     evolve,
     ladder_matrices,
     ladder_matrix_element,
@@ -56,7 +55,7 @@ def test_dicke_basis_labels():
     assert basis.labels == ((1.0, -1.0), (0.0, 0.0), (-1.0, 1.0))
     assert basis.j_charger == 1.0
     assert basis.dimension == 3
-    asym = enumerate_dicke_sector(3, 1, 1.0)
+    asym = DickeBasis(3, 1, 1.0)
     assert asym.labels == ((1.5, -0.5), (0.5, 0.5))
 
 

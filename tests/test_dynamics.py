@@ -65,6 +65,19 @@ def test_dense_and_ode_paths_agree(one_to_one):
     assert np.max(np.abs(dense.norm - ode.norm)) < 1e-9
 
 
+def test_paths_share_the_time_origin():
+    # psi0 is the state at t = 0 on both paths, also on a grid that starts later
+    cfg = SystemConfig.dispersive(2, 2, g_over_delta=0.3)
+    basis = enumerate_sector_basis(2, 2, 2, 2)
+    h = build_full_hamiltonian(cfg, basis)
+    psi0 = charged_initial_state(basis)
+    times = np.linspace(1.0, 5.0, 41)
+    dense = evolve(h, psi0, times, keep_states=True)
+    ode = evolve(h, psi0, times, dense_threshold=0, keep_states=True)
+    assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
+    assert np.max(np.abs(ode.states - dense.states)) <= 1e-6
+
+
 def _full_register(n):
     cfg = SystemConfig.dispersive(n, n, g_over_delta=0.1)
     basis = enumerate_sector_basis(n, n, n, n)

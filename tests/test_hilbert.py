@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from magnon_battery import (
     HamiltonianMatrix,
+    SectorBasis,
     StateVector,
     SystemConfig,
     basis_state,
@@ -196,3 +197,10 @@ def test_dump_matrix_to_path(tmp_path):
     buf = io.StringIO()
     dump_matrix(h, buf)
     assert target.read_text() == buf.getvalue()
+
+
+def test_labels_outside_occupation_ranges_rejected():
+    with pytest.raises(ValueError, match="occupation ranges"):
+        SectorBasis(1, 1, 1, ((0, 2, 0),), None)
+    with pytest.raises(ValueError, match="occupation ranges"):
+        SectorBasis(1, 1, 1, ((2, 0, 0),), None)
