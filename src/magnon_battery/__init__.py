@@ -63,9 +63,6 @@ from .qsd import (
     FSolution,
     QsdParams,
     RiccatiBlowupError,
-    bath_correlation,
-    ou_correlation,
-    qsd_energy,
     solve_calF,
     solve_f12,
 )
@@ -113,11 +110,8 @@ __all__ = [
     "QsdParams",
     "FSolution",
     "RiccatiBlowupError",
-    "ou_correlation",
-    "bath_correlation",
     "solve_f12",
     "solve_calF",
-    "qsd_energy",
     "ConfigError",
     "ExperimentSpec",
     "SweepRow",

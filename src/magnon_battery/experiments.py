@@ -73,7 +73,6 @@ _KNOWN_KEYS = {
         "horizon_factor",
         "samples",
         "out",
-        "seed",
         "threads",
         "tol",
         "allow_large",
@@ -142,7 +141,6 @@ class ExperimentSpec:
     horizon_factor: float
     samples: int
     out: str | None
-    seed: int
     threads: int
     tol: float
     allow_large: bool
@@ -604,7 +602,6 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         horizon_factor=run.get_float("horizon_factor", 1.2, positive=True),
         samples=run.get_int("samples", 1001, minimum=2),
         out=run.get_str("out"),
-        seed=run.get_int("seed", 0, minimum=0),
         threads=run.get_int("threads", 1, minimum=1),
         tol=run.get_float("tol", 1e-10, positive=True),
         allow_large=run.get_bool("allow_large", False),

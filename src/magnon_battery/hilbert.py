@@ -187,6 +187,25 @@ def _battery_patterns(m_battery: int, count: int):
         yield tuple(bits)
 
 
+def _charger_patterns(n_charger: int, min_ones: int, max_ones: int) -> list[tuple[int, ...]]:
+    """Charger bit tuples with min_ones..max_ones ones, descending lex order.
+
+    Built one position at a time, 1 before 0; a prefix is extended only
+    while it can still end inside the range, so the walk never visits the
+    2^N patterns outside it.
+    """
+    level = [((), 0)]
+    for pos in range(n_charger):
+        free = n_charger - pos - 1
+        level = [
+            (bits + (bit,), ones + bit)
+            for bits, ones in level
+            for bit in (1, 0)
+            if min_ones <= ones + bit + free and ones + bit <= max_ones
+        ]
+    return [bits for bits, _ in level]
+
+
 def enumerate_sector_basis(
     n_charger: int, m_battery: int, cutoff: int, n_excitations: int
 ) -> SectorBasis:
@@ -205,10 +224,10 @@ def enumerate_sector_basis(
             f"{n_charger + m_battery + cutoff}"
         )
     labels = []
-    for c_bits in itertools.product((1, 0), repeat=n_charger):
+    for c_bits in _charger_patterns(
+        n_charger, n_excitations - cutoff - m_battery, n_excitations
+    ):
         remaining = n_excitations - sum(c_bits)
-        if remaining < 0:
-            continue
         for n_magnon in range(min(cutoff, remaining), -1, -1):
             b_count = remaining - n_magnon
             if b_count > m_battery:

@@ -6,15 +6,25 @@ exp(-memory_gamma * |t - s|).  Averaging the diffusion unraveling over
 noise realizations and tracing out the mode leaves deterministic
 equations for the coefficient functions of the single-excitation sector.
 In the white-noise limit (memory_gamma = inf) these close into two
-coupled quadratic ODEs; their difference obeys a scalar Riccati equation
-whose running integral yields the charger and battery amplitudes
+coupled quadratic ODEs (solve_f12); their difference obeys the scalar
+Riccati equation
 
-    a(t) = (exp(-2 I(t)) + 1) / 2,   b(t) = (exp(-2 I(t)) - 1) / 2,
+    dℱ/dt = g^2 + λ ℱ + 2 ℱ^2,   ℱ(0) = 0,   λ = -gamma_noise/2 - i delta.
 
-with I(t) the integral of the reduced coefficient, so a - b = 1 exactly
-and the stored energy is E(t) = |b(t)|^2 * omega.  The double-excitation
-configuration never mixes in: the dynamics lives on the three states
-{charger excited, battery excited, mode excited}.
+Its coefficients are constant, so ℱ = -u'/(2u) linearizes it:
+
+    u'' - λ u' + 2 g^2 u = 0,   u(0) = 1,   u'(0) = 0,
+
+and u(t) = exp(-2 I(t)), with I(t) the running integral of ℱ.  The
+charger and battery amplitudes are
+
+    a(t) = (u(t) + 1) / 2,   b(t) = (u(t) - 1) / 2,
+
+so a - b = 1 exactly and the stored energy is E(t) = |b(t)|^2 * omega.
+solve_calF evaluates this closed form; solve_f12 integrates the pair
+numerically and is the independent cross-check of it.  The
+double-excitation configuration never mixes in: the dynamics lives on
+the three states {charger excited, battery excited, mode excited}.
 
 The solver computes a and b as noise-averaged amplitudes, so the energy
 it reports is |M[b]|^2 * omega, with M the average over noise
@@ -26,8 +36,8 @@ number, so 1 - |a|^2 - |b|^2 is not population lost to a ground state:
 it is the mode's share of the averaged amplitude plus the part of the
 ensemble that has lost phase with the noiseless evolution.
 
-Only the white-noise limit is propagated into reduced dynamics; for
-finite memory the correlation kernels are available but no solver is.
+Only the white-noise limit has reduced dynamics; both solvers reject a
+finite memory_gamma.
 """
 
 from __future__ import annotations
@@ -38,16 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 __all__ = [
     "QsdParams",
     "FSolution",
     "RiccatiBlowupError",
-    "ou_correlation",
-    "bath_correlation",
     "solve_f12",
     "solve_calF",
-    "qsd_energy",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -55,9 +63,12 @@ DEFAULT_TOL = 1e-10
 # multiple of |g| above which a coefficient is declared runaway
 BLOWUP_FACTOR = 1e6
 
+# candidate poles of ℱ checked per vectorised batch
+_POLE_BATCH = 4096
+
 
 class RiccatiBlowupError(RuntimeError):
-    """A coefficient function escaped toward infinity during integration."""
+    """A coefficient function escaped toward infinity."""
 
 
 @dataclass(frozen=True)
@@ -105,9 +116,9 @@ class FSolution:
     """Reduced coefficient ℱ(t), its running integral, and the amplitudes.
 
     Invariants: calf[0] = 0, a - b = 1 identically, and |a|^2 + |b|^2
-    never exceeds 1 beyond integrator tolerance.  a and b are the
-    noise-averaged amplitudes, so energy holds |M[b]|^2 * omega (see the
-    module docstring for the open M[|b|^2] question); the remainder
+    never exceeds 1 beyond rounding.  a and b are the noise-averaged
+    amplitudes, so energy holds |M[b]|^2 * omega (see the module
+    docstring for the open M[|b|^2] question); the remainder
     1 - |a|^2 - |b|^2 is the mode's share and the dephased part of the
     ensemble, not ground-state population.
     """
@@ -126,44 +137,6 @@ class FSolution:
                 raise ValueError(f"{name} must have shape ({n},)")
         for name in ("times", "calf", "integral", "a", "b", "energy"):
             getattr(self, name).setflags(write=False)
-
-
-def ou_correlation(params: QsdParams, t: float, s: float) -> float:
-    """Noise autocorrelation at lag t - s.
-
-    In the white-noise limit the kernel degenerates to a delta spike:
-    infinite at zero lag, zero elsewhere (zero everywhere if the noise
-    is off).
-    """
-    if params.gamma_noise == 0.0:
-        return 0.0
-    if params.is_markov:
-        return math.inf if t == s else 0.0
-    return 0.5 * params.gamma_noise * params.memory_gamma * math.exp(
-        -params.memory_gamma * abs(t - s)
-    )
-
-
-def bath_correlation(params: QsdParams, t: float, s: float) -> complex:
-    """Memory kernel of the mode dressed by the frequency noise.
-
-    g^2 exp(-i omega_m (t-s)) times the noise-averaged dephasing factor
-    exp(-(gamma_noise/2) [(t-s) + (exp(-memory_gamma (t-s)) - 1)/memory_gamma]);
-    the bracket collapses to the bare lag in the white-noise limit.
-    Defined for t >= s only.
-    """
-    if t < s:
-        raise ValueError(f"bath correlation requires t >= s, got t={t!r}, s={s!r}")
-    tau = t - s
-    if params.is_markov:
-        bracket = tau
-    else:
-        bracket = tau + math.expm1(-params.memory_gamma * tau) / params.memory_gamma
-    return (
-        params.g**2
-        * math.exp(-0.5 * params.gamma_noise * bracket)
-        * cmath.exp(-1j * params.omega_m * tau)
-    )
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -185,38 +158,15 @@ def _require_markov(params: QsdParams) -> None:
         )
 
 
-def _integrate(params: QsdParams, rhs, y0, times, tol, n_watch):
-    """Run the adaptive integrator with a runaway guard.
+def _threshold(params: QsdParams) -> float:
+    return BLOWUP_FACTOR * abs(params.g) if params.g != 0.0 else 1.0
 
-    Only the first n_watch components are coefficient functions subject
-    to the guard; trailing components (the running integral) may grow.
-    """
-    threshold = BLOWUP_FACTOR * abs(params.g) if params.g != 0.0 else 1.0
 
-    def escape(t, y):
-        return threshold - max(abs(y[k]) for k in range(n_watch))
-
-    escape.terminal = True
-
-    sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        y0,
-        method="DOP853",
-        t_eval=times,
-        rtol=tol,
-        atol=tol,
-        events=escape,
+def _blowup(threshold: float, t: float) -> RiccatiBlowupError:
+    return RiccatiBlowupError(
+        f"coefficient magnitude crossed {threshold:g} at t={t:.12g}; "
+        "the quadratic terms run away for these parameters"
     )
-    if sol.status == 1:
-        t_esc = float(sol.t_events[0][0])
-        raise RiccatiBlowupError(
-            f"coefficient magnitude crossed {threshold:g} at t={t_esc:.6g}; "
-            "the quadratic terms run away for these parameters"
-        )
-    if not sol.success:
-        raise RuntimeError(f"coefficient integration failed: {sol.message}")
-    return sol.y
 
 
 def solve_f12(params: QsdParams, t_grid, tol: float = DEFAULT_TOL):
@@ -225,13 +175,16 @@ def solve_f12(params: QsdParams, t_grid, tol: float = DEFAULT_TOL):
     dF1/dt = g^2 + (-i delta - gamma_noise/2) F1 + F1^2 + 3 F2^2
     dF2/dt =       (-i delta - gamma_noise/2) F2 - F1^2 + F2^2 + 4 F1 F2
 
-    from F1(0) = F2(0) = 0.  Returns the pair (F1, F2) of complex
-    arrays on the grid.  White-noise limit only.
+    from F1(0) = F2(0) = 0 with an adaptive DOP853 integrator at relative
+    and absolute tolerance tol.  Returns the pair (F1, F2) of complex
+    arrays on the grid.  Raises RiccatiBlowupError when either
+    coefficient reaches BLOWUP_FACTOR * |g|.  White-noise limit only.
     """
     _require_markov(params)
     times = _validated_grid(t_grid)
     lam = complex(-0.5 * params.gamma_noise, -params.delta)
     gsq = params.g**2
+    threshold = _threshold(params)
 
     def rhs(t, y):
         f1, f2 = y
@@ -240,47 +193,151 @@ def solve_f12(params: QsdParams, t_grid, tol: float = DEFAULT_TOL):
             lam * f2 - f1 * f1 + f2 * f2 + 4.0 * f1 * f2,
         ]
 
-    y = _integrate(params, rhs, np.zeros(2, dtype=complex), times, tol, n_watch=2)
-    return y[0].copy(), y[1].copy()
+    def escape(t, y):
+        return threshold - max(abs(y[0]), abs(y[1]))
+
+    escape.terminal = True
+
+    sol = solve_ivp(
+        rhs,
+        (times[0], times[-1]),
+        np.zeros(2, dtype=complex),
+        method="DOP853",
+        t_eval=times,
+        rtol=tol,
+        atol=tol,
+        events=escape,
+    )
+    if sol.status == 1:
+        raise _blowup(threshold, float(sol.t_events[0][0]))
+    if not sol.success:
+        raise RuntimeError(f"coefficient integration failed: {sol.message}")
+    return sol.y[0].copy(), sol.y[1].copy()
+
+
+def _roots(params: QsdParams) -> tuple[complex, complex]:
+    """The root r_a of smaller modulus of r^2 - λ r + 2 g^2, and κ = r_a - r_b.
+
+    r_b = (λ ± √(λ^2 - 8 g^2))/2 takes the sign that avoids cancellation
+    and r_a = 2 g^2 / r_b, so both stay accurate for |λ| >> |g|; κ is the
+    square root itself, so it stays accurate as the roots merge.  Since
+    Re λ <= 0, the smaller root has the larger real part: Re κ >= 0.
+    """
+    lam = complex(-0.5 * params.gamma_noise, -params.delta)
+    gsq = params.g**2
+    root = cmath.sqrt(lam * lam - 8.0 * gsq)
+    if (lam.conjugate() * root).real < 0.0:
+        root = -root
+    r_a = 2.0 * gsq / (0.5 * (lam + root)) if gsq != 0.0 else 0j
+    return r_a, -root
+
+
+def _decay(r_a: complex, kappa: complex, times):
+    """e(t) = ∫_0^t exp(-κ s) ds and w(t) = exp(-r_a t) u(t) = 1 - r_a e(t)."""
+    x = -kappa * times
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = times * np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    return e, 1.0 - r_a * e
+
+
+def _blowup_time(gsq, r_a, kappa, threshold, t_end):
+    """First t in [0, t_end] at which |ℱ| reaches threshold, or None.
+
+    With ρ = r_a/r_b, u = exp(r_a t) (1 - ρ exp(-κ t)) / (1 - ρ) vanishes
+    at the complex times τ_m = (log ρ - 2πim)/κ, and
+
+        ℱ = -(r_a/2) (1 - exp(-κ t)) / (1 - ρ exp(-κ t)),
+
+    so |ℱ| <= |r_a| / |1 - ρ exp(-κ t)| because Re κ >= 0.  As |r_a| <=
+    √2 |g|, |ℱ| reaches the threshold only within η = 2|r_a|/(threshold |κ|)
+    of a τ_m.  Those poles are taken in time order; the first whose peak
+    on [0, t_end] reaches the threshold brackets the crossing for brentq.
+    """
+    if r_a == 0.0 or kappa == 0.0:
+        return None  # u = 1, or u = exp(r t)(1 - r t) with r < 0 at the double root
+
+    def excess(t):
+        # |ℱ| - threshold times |w| > 0: the same sign, and finite at w = 0
+        e, w = _decay(r_a, kappa, t)
+        return np.abs(gsq * e) - threshold * np.abs(w)
+
+    eta = 2.0 * abs(r_a) / (threshold * abs(kappa))
+    scale = abs(kappa) ** 2
+    anchor = cmath.log(r_a / (r_a - kappa)) * kappa.conjugate()
+    # Re τ_m = (anchor.real - 2πm κ.imag)/scale, Im τ_m = (anchor.imag - 2πm κ.real)/scale
+    lo, hi = -math.inf, math.inf
+    for value, coef, low, high in (
+        (anchor.imag, kappa.real, -eta * scale, eta * scale),
+        (anchor.real, kappa.imag, -eta * scale, (t_end + eta) * scale),
+    ):
+        if coef != 0.0:
+            ends = sorted(((value - high) / (2.0 * math.pi * coef),
+                           (value - low) / (2.0 * math.pi * coef)))
+            lo, hi = max(lo, ends[0]), min(hi, ends[1])
+        elif not low <= value <= high:
+            return None
+    m_lo, m_hi = math.ceil(lo), math.floor(hi)
+    # Re τ_m falls with m when κ.imag > 0
+    first, step = (m_hi, -1) if kappa.imag > 0.0 else (m_lo, 1)
+    count = m_hi - m_lo + 1
+    for offset in range(0, count, _POLE_BATCH):
+        m = first + step * np.arange(offset, min(count, offset + _POLE_BATCH), dtype=float)
+        centre = (anchor.real - 2.0 * math.pi * m * kappa.imag) / scale
+        peak = np.clip(centre, 0.0, t_end)
+        hits = np.flatnonzero(excess(peak) >= 0.0)
+        if hits.size:
+            k = hits[0]
+            start = max(0.0, centre[k] - 2.0 * eta)
+            return brentq(lambda t: float(excess(t)), start, float(peak[k]))
+    return None
 
 
 def solve_calF(params: QsdParams, t_grid, tol: float = DEFAULT_TOL) -> FSolution:
-    """Integrate the scalar Riccati reduction and its running integral.
+    """Evaluate the closed form of the scalar Riccati reduction.
 
     The difference of the paired coefficients obeys
 
-        dℱ/dt = g^2 + (-i delta - gamma_noise/2) ℱ + 2 ℱ^2,  ℱ(0) = 0,
+        dℱ/dt = g^2 + λ ℱ + 2 ℱ^2,  ℱ(0) = 0,  λ = -gamma_noise/2 - i delta,
 
-    and only its integral I(t) enters the amplitudes, so I is carried
-    as a second ODE component instead of post-hoc quadrature.  Returns
-    the full FSolution (coefficient, integral, amplitudes, energy).
-    White-noise limit only.
+    which ℱ = -u'/(2u) turns into u'' - λ u' + 2 g^2 u = 0 with u(0) = 1,
+    u'(0) = 0.  With r_a, r_b the roots of r^2 - λ r + 2 g^2 (|r_a| <= |r_b|)
+    and κ = r_a - r_b,
+
+        u = exp(r_a t) (1 - r_a e(t)),   e(t) = (1 - exp(-κ t)) / κ,
+
+    a form that stays accurate as the roots merge (e(t) = t at the double
+    root delta = 0, gamma_noise = 4√2 |g|).  Then ℱ = g^2 e / (1 - r_a e),
+    I = -(1/2) log u on the branch continuous from I(0) = 0, a = (u + 1)/2
+    and b = (u - 1)/2.  The result is exact to rounding; tol is kept for
+    the callers that pass it and does not affect it.
+
+    Raises RiccatiBlowupError when |ℱ| reaches BLOWUP_FACTOR * |g|
+    anywhere on [0, t_grid[-1]], between samples included: that is a
+    near-zero of u.  White-noise limit only.
     """
     _require_markov(params)
     times = _validated_grid(t_grid)
-    lam = complex(-0.5 * params.gamma_noise, -params.delta)
     gsq = params.g**2
+    r_a, kappa = _roots(params)
+    threshold = _threshold(params)
+    t_blowup = _blowup_time(gsq, r_a, kappa, threshold, float(times[-1]))
+    if t_blowup is not None:
+        raise _blowup(threshold, t_blowup)
 
-    def rhs(t, y):
-        f = y[0]
-        return [gsq + lam * f + 2.0 * f * f, f]
-
-    y = _integrate(params, rhs, np.zeros(2, dtype=complex), times, tol, n_watch=1)
-    calf = y[0].copy()
-    integral = y[1].copy()
-    decay = np.exp(-2.0 * integral)
-    a = 0.5 * (decay + 1.0)
-    b = 0.5 * (decay - 1.0)
+    e, w = _decay(r_a, kappa, times)
+    calf = gsq * e / w
+    # w = (1 - ρ exp(-κ t))/(1 - ρ) with |ρ| <= 1 and Re κ >= 0: numerator
+    # and denominator keep positive real parts, so the principal log of w
+    # is continuous in t
+    integral = -0.5 * (r_a * times + np.log(w))
+    calf[0] = integral[0] = 0.0
+    u = np.exp(r_a * times) * w
+    b = 0.5 * (u - 1.0)
     return FSolution(
         times=times.copy(),
         calf=calf,
         integral=integral,
-        a=a,
+        a=0.5 * (u + 1.0),
         b=b,
         energy=np.abs(b) ** 2 * params.omega,
     )
-
-
-def qsd_energy(fsol: FSolution) -> np.ndarray:
-    """Stored energy series |b(t)|^2 * omega of a computed solution."""
-    return fsol.energy

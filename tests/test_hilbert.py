@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +61,31 @@ def test_descending_lex_order():
     basis = enumerate_sector_basis(3, 2, 2, 3)
     assert basis.labels == tuple(sorted(basis.labels, reverse=True))
     assert basis.labels[0] == (1, 1, 1, 0, 0, 0)
+
+
+def test_sector_labels_match_product_enumeration():
+    # the charger walk is pruned by excitation count; the order must stay
+    # that of filtering the full (charger, magnon, battery) product
+    for n, m, cutoff in itertools.product(range(1, 6), range(1, 5), range(4)):
+        sectors = {}
+        for c_bits in itertools.product((1, 0), repeat=n):
+            for n_magnon in range(cutoff, -1, -1):
+                for b_bits in itertools.product((1, 0), repeat=m):
+                    label = c_bits + (n_magnon,) + b_bits
+                    sectors.setdefault(sum(label), []).append(label)
+        assert sorted(sectors) == list(range(n + m + cutoff + 1))
+        for k, labels in sectors.items():
+            assert enumerate_sector_basis(n, m, cutoff, k).labels == tuple(labels)
+
+
+def test_sparse_sector_of_a_long_charger():
+    # 2^40 charger patterns, 71 labels: the cost must follow the labels
+    t0 = time.perf_counter()
+    basis = enumerate_sector_basis(40, 30, 1, 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert basis.dimension == 71
+    assert basis.labels[0] == (1,) + (0,) * 70
+    assert basis.labels[-1] == (0,) * 70 + (1,)
 
 
 def test_empty_sector_rejected():

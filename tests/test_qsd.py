@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from magnon_battery import (
     FSolution,
     QsdParams,
     RiccatiBlowupError,
-    bath_correlation,
-    ou_correlation,
-    qsd_energy,
     solve_calF,
     solve_f12,
 )
@@ -51,46 +49,6 @@ def test_params_validation():
                          memory_gamma=5.0).is_markov
 
 
-def test_ou_correlation():
-    finite = QsdParams(g=0.1, omega=1.0, omega_m=2.0, gamma_noise=0.4, memory_gamma=2.0)
-    assert ou_correlation(finite, 3.0, 3.0) == pytest.approx(0.4)
-    assert ou_correlation(finite, 3.0, 2.0) == pytest.approx(0.4 * math.exp(-2.0))
-    # symmetric in the lag
-    assert ou_correlation(finite, 2.0, 3.0) == ou_correlation(finite, 3.0, 2.0)
-    white = QsdParams(g=0.1, omega=1.0, omega_m=2.0, gamma_noise=0.4)
-    assert ou_correlation(white, 1.0, 1.0) == math.inf
-    assert ou_correlation(white, 1.0, 0.9) == 0.0
-    silent = QsdParams(g=0.1, omega=1.0, omega_m=2.0, gamma_noise=0.0)
-    assert ou_correlation(silent, 1.0, 1.0) == 0.0
-
-
-def test_bath_correlation_markov():
-    p = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=0.2)
-    assert bath_correlation(p, 0.0, 0.0) == pytest.approx(p.g**2)
-    tau = 1.7
-    expected = p.g**2 * math.exp(-0.1 * tau) * complex(math.cos(11.0 * tau), -math.sin(11.0 * tau))
-    assert bath_correlation(p, tau, 0.0) == pytest.approx(expected)
-    with pytest.raises(ValueError, match="t >= s"):
-        bath_correlation(p, 0.0, 1.0)
-
-
-def test_bath_correlation_memory():
-    # finite memory softens the short-lag dephasing to quadratic order
-    p = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=0.2, memory_gamma=0.5)
-    tau = 1e-3
-    bracket = tau + math.expm1(-0.5 * tau) / 0.5
-    assert abs(bath_correlation(p, tau, 0.0)) == pytest.approx(
-        p.g**2 * math.exp(-0.1 * bracket)
-    )
-    assert bracket == pytest.approx(0.5 * tau**2 / 2.0, rel=1e-3)
-    # a very stiff memory approaches the white-noise kernel
-    stiff = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=0.2, memory_gamma=1e8)
-    white = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=0.2)
-    assert bath_correlation(stiff, 2.0, 0.5) == pytest.approx(
-        bath_correlation(white, 2.0, 0.5), abs=1e-10
-    )
-
-
 def test_grid_validation(params):
     with pytest.raises(ValueError, match="start at 0"):
         solve_calF(params, [1.0, 2.0])
@@ -121,7 +79,6 @@ def test_solution_invariants(params):
     # the averaged spin amplitudes never exceed unit weight; the rest is
     # the mode's share or has dephased, the excitation number is conserved
     assert np.max(np.abs(fsol.a) ** 2 + np.abs(fsol.b) ** 2) < 1.0 + 1e-8
-    assert np.array_equal(qsd_energy(fsol), fsol.energy)
     assert np.max(fsol.energy) <= params.omega * (1.0 + 1e-8)
     assert not fsol.calf.flags.writeable
 
@@ -158,6 +115,49 @@ def test_blowup_detected():
     except RiccatiBlowupError as exc:
         reported = float(str(exc).split("t=")[1].split(";")[0])
         assert reported == pytest.approx(math.pi / (2 * math.sqrt(2)), rel=1e-3)
+
+
+def test_blowup_between_coarse_samples():
+    # on exact resonance u = cos(sqrt(2) g t); its first zero falls between
+    # the samples t = 2 and t = 4, and the guard must still find it
+    p = QsdParams(g=0.5, omega=1.0, omega_m=1.0, gamma_noise=0.0)
+    pole = math.pi / (2 * math.sqrt(2) * p.g)
+    assert 2.0 < pole < 4.0
+    with pytest.raises(RiccatiBlowupError) as exc:
+        solve_calF(p, np.linspace(0.0, 10.0, 6))
+    reported = float(str(exc.value).split("t=")[1].split(";")[0])
+    assert reported == pytest.approx(pole, rel=1e-6)
+    # a grid that stops short of the pole is solved, not rejected
+    fsol = solve_calF(p, np.linspace(0.0, pole - 1e-3, 6))
+    assert np.all(np.isfinite(fsol.calf))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-6])
+def test_double_root_matches_pair_integration(offset):
+    # delta = 0 and gamma = 4 sqrt(2) g merge the two roots of the
+    # linearized equation; the closed form must stay accurate there and
+    # next to it.  For g = 0.15 the discriminant is exactly 0 in floats.
+    g = 0.15
+    assert complex(-2 * math.sqrt(2) * g, -0.0) ** 2 - 8.0 * g**2 == 0.0
+    times = np.linspace(0.0, 300.0, 601)
+    for delta, gamma in ((0.0, 4 * math.sqrt(2) * g + offset), (offset, 4 * math.sqrt(2) * g)):
+        p = QsdParams(g=g, omega=10.0, omega_m=10.0 + delta, gamma_noise=gamma)
+        f1, f2 = solve_f12(p, times, tol=1e-12)
+        fsol = solve_calF(p, times)
+        assert np.max(np.abs((f1 - f2) - fsol.calf)) < 1e-9
+
+
+def test_integral_matches_quadrature_on_fig6_grid():
+    # I(t) = ∫ calF on the branch continuous from 0: its imaginary part
+    # passes pi, so a principal-branch log of u would jump by i*pi
+    coarse = np.linspace(0.0, 800.0, 4001)
+    fine = np.linspace(0.0, 800.0, 80001)
+    for ratio in (0.0, 0.002, 0.02, 0.2):
+        p = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=ratio)
+        fsol = solve_calF(p, coarse)
+        quad = cumulative_simpson(solve_calF(p, fine).calf, x=fine, initial=0.0)[::20]
+        assert np.max(np.abs(fsol.integral.imag)) > math.pi
+        assert np.max(np.abs(fsol.integral - quad)) < 1e-8
 
 
 def test_energy_scale_tracks_omega():
