@@ -11,14 +11,7 @@ experiment runner (`magnon-battery` on the command line).
 
 from importlib import metadata as _metadata
 
-from .collective import (
-    DickeBasis,
-    build_collective_hamiltonian,
-    collective_charged_state,
-    dicke_embed,
-    ladder_matrices,
-    ladder_matrix_element,
-)
+from .collective import build_collective_hamiltonian, collective_charged_state, dicke_embed
 from .config import SystemConfig
 from .dynamics import (
     ChargingMetrics,
@@ -95,9 +88,6 @@ __all__ = [
     "effective_couplings",
     "build_effective_hamiltonian",
     "sweet_spot_j",
-    "DickeBasis",
-    "ladder_matrix_element",
-    "ladder_matrices",
     "build_collective_hamiltonian",
     "collective_charged_state",
     "dicke_embed",

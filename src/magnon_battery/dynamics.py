@@ -24,9 +24,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
-from .collective import DickeBasis
 from .config import SystemConfig
-from .hilbert import HamiltonianMatrix, SectorBasis, StateVector, _assemble
+from .hilbert import HamiltonianMatrix, SectorBasis, StateVector, _assemble, _check_compatible
 
 __all__ = [
     "Trajectory",
@@ -102,14 +101,9 @@ def evolve(
     if abs(np.linalg.norm(amps0) - 1.0) > 1e-12:
         raise ValueError("psi0 is not normalized")
 
-    basis = h.basis
-    if isinstance(basis, DickeBasis):
-        battery = np.array(basis.labels)[:, 1] + basis.j_battery
-        magnon_diag = None
-    else:
-        _, magnons, batteries = basis._counts()
-        battery = batteries.astype(float)
-        magnon_diag = magnons.astype(float) if basis.cutoff else None
+    _, magnons, batteries = h.basis._counts()
+    battery = batteries.astype(float)
+    magnon_diag = magnons.astype(float) if h.basis.cutoff else None
     if h.dimension <= dense_threshold:
         w, v = np.linalg.eigh(h.toarray())
         coeff = v.conj().T @ amps0
@@ -237,6 +231,7 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
     this diagnostic adds the intra-battery exchange expectation, which
     every closed-form result drops.
     """
+    _check_compatible(config, basis)
     n = basis.n_charger
     battery = config.omega * basis._counts()[2]
     exchange = block_diag(np.zeros((n, n)), config.j_battery)

@@ -107,7 +107,6 @@ _KNOWN_KEYS = {
         "omega",
         "omega_m",
         "gamma_noise",
-        "memory_gamma",
     },
     "sweep": {
         "models",
@@ -314,7 +313,7 @@ class _Section:
     def get_str(self, key: str, default: str | None = None) -> str | None:
         return self.data.get(key, default)
 
-    def get_float(self, key, default=None, *, positive=False, nonnegative=False, nonzero=False, allow_inf=False):
+    def get_float(self, key, default=None, *, positive=False, nonnegative=False, nonzero=False):
         if key not in self.data:
             return default
         raw = self.data[key]
@@ -322,7 +321,7 @@ class _Section:
             value = float(raw)
         except ValueError:
             self.fail(key, f"cannot parse {raw!r} as a number")
-        if not allow_inf and not math.isfinite(value):
+        if not math.isfinite(value):
             self.fail(key, "must be finite")
         if positive and not value > 0.0:
             self.fail(key, "must be > 0")
@@ -517,7 +516,6 @@ def _parse_system(section: _Section) -> SystemConfig | None:
 def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]]:
     if not section.keys():
         return None, ()
-    memory_gamma = section.get_float("memory_gamma", math.inf, positive=True, allow_inf=True)
     if _check_unit_family(section):
         delta = section.get_float("delta", 1.0, nonzero=True)
         if "g_over_delta" not in section:
@@ -538,9 +536,7 @@ def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]
         if gamma < 0.0:
             section.fail("gamma_over_delta" if "gamma_over_delta" in section else "gamma_noise", "noise strengths must be >= 0")
     try:
-        template = QsdParams(
-            g=g, omega=omega, omega_m=omega_m, gamma_noise=0.0, memory_gamma=memory_gamma
-        )
+        template = QsdParams(g=g, omega=omega, omega_m=omega_m, gamma_noise=0.0)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}]: {exc}") from None
     return template, gammas
@@ -612,22 +608,17 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         ratios=ratios,
         m_max=m_max,
     )
-    _validate_mode(spec, sections)
+    _validate_mode(spec)
     return spec
 
 
-def _validate_mode(spec: ExperimentSpec, sections: dict[str, _Section]) -> None:
+def _validate_mode(spec: ExperimentSpec) -> None:
     needs_system = spec.mode not in ("qsd",)
     if needs_system and spec.system is None:
         raise ConfigError(f"mode {spec.mode!r} requires a [system] section")
     if spec.mode == "qsd":
         if spec.noise is None:
             raise ConfigError("mode 'qsd' requires a [noise] section")
-        if not spec.noise.is_markov:
-            sections["noise"].fail(
-                "memory_gamma",
-                "reduced dynamics require the white-noise limit; leave memory_gamma unset (inf)",
-            )
         if spec.noise.delta == 0.0:
             raise ConfigError("[noise]: the mode must be detuned (omega_m != omega)")
     if spec.mode in ("sweep-n", "sweep-nm", "sweep-j", "compare", "collective", "analytic"):

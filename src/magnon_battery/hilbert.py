@@ -1,27 +1,36 @@
 """Sector-restricted bases and sparse Hamiltonian assembly.
 
-Basis labels are occupation tuples ``(c_1..c_N, n_magnon, b_1..b_M)``
-with charger and battery bits in {0, 1} and the magnon number bounded
-by a Fock cutoff.  The full Hamiltonian conserves the total excitation
-number, so dynamics started from a product state stays inside one
-sector; restricting the basis to that sector with cutoff equal to the
-excitation number is exact, not a truncation.
+A basis is a set of occupation labels over *registers*: one column per
+charger register, one for the magnon number, one per battery register.
+A register of capacity K holds 0..K excitations.  The layout follows
+from the label width: N+M+1 columns make every spin its own register
+(K = 1, labels ``(c_1..c_N, n_magnon, b_1..b_M)``); 3 columns make each
+side one permutation-symmetric register of K = N or K = M spins (labels
+``(n_C, n_magnon, n_B)``, the Dicke states).  For N = M = 1 the two are
+the same.  The magnon number is bounded by a Fock cutoff.  Every model
+here conserves the total excitation number, so dynamics started from a
+product state stays inside one sector; restricting the basis to that
+sector with cutoff equal to the excitation number is exact, not a
+truncation.
 
 Labels are ordered descending-lexicographically, which puts the fully
-charged configuration ``(1,..,1, 0, 0,..,0)`` first and makes matrix
-files reproducible byte for byte.
+charged configuration first and makes matrix files reproducible byte
+for byte.
 
 Each basis turns its labels once into an integer occupation array (one
-row per label) and ranks every row by a mixed-radix key: base 2 for a
-spin, base cutoff+1 for the magnon number.  A hop changes a key by a
-fixed stride, so the targets of a whole term class are found with one
-``searchsorted`` over the sorted keys, whatever the label order; targets
-outside the basis (beyond a truncated cutoff, or in another sector) are
-dropped.  The full model, the effective model and the battery energy
-operator are all emitted by the one assembler ``_assemble`` from a
-diagonal, per-spin mode couplings and a spin flip-flop matrix.  The diagonal and the
-spin-mode hops are always stored, explicit zeros included; a flip-flop
-pair is stored only where its amplitude is nonzero.
+row per label) and ranks every row by a mixed-radix key, base K+1 per
+column.  A hop changes a key by a fixed stride, so the targets of a
+whole term class are found with one ``searchsorted`` over the sorted
+keys, whatever the label order; targets outside the basis (beyond a
+truncated cutoff, or in another sector) are dropped.  The full model,
+the effective model, the battery energy operator and the collective
+model are all emitted by the one assembler ``_assemble`` from a
+diagonal, per-register mode couplings and a register flip-flop matrix.
+Lowering a register that holds n of its K excitations carries the ladder
+factor sqrt(n(K-n+1)), raising it sqrt((n+1)(K-n)); both are exactly 1
+for a single spin.  The diagonal and the mode hops are always stored,
+explicit zeros included; a flip-flop pair is stored only where its
+amplitude is nonzero.
 """
 
 from __future__ import annotations
@@ -59,7 +68,8 @@ class SectorBasis:
 
     ``n_excitations`` is the common excitation count of all labels, or
     ``None`` for a composite (multi-sector) basis used in conservation
-    checks.
+    checks.  Labels of N+M+1 columns hold one spin each, labels of 3
+    columns one whole register each (see the module docstring).
     """
 
     def __init__(
@@ -78,9 +88,22 @@ class SectorBasis:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise ValueError("duplicate labels in basis")
-        radix = [2] * self.n_charger + [self.cutoff + 1] + [2] * self.m_battery
+        n, m = self.n_charger, self.m_battery
+        width = len(self.labels[0]) if self.labels else n + m + 1
+        # _mode is the magnon column; registers sit before and after it
+        if width == n + m + 1:
+            self._mode, capacity = n, [1] * n + [self.cutoff] + [1] * m
+        elif width == 3:
+            self._mode, capacity = 1, [n, self.cutoff, m]
+        else:
+            raise ValueError(
+                f"labels have {width} columns; expected {n + m + 1} (one per spin) "
+                "or 3 (one per register)"
+            )
+        self._capacity = np.array(capacity)
+        radix = [k + 1 for k in capacity]
         occ = np.array(self.labels, dtype=np.int64).reshape(len(self.labels), len(radix))
-        if np.any((occ < 0) | (occ >= np.array(radix))):
+        if np.any((occ < 0) | (occ > self._capacity)):
             raise ValueError("label outside the spin and magnon occupation ranges")
         self._occupations = occ
         # keys beyond 63 bits (N + M above ~60 spins) stay exact as Python ints
@@ -96,14 +119,14 @@ class SectorBasis:
         return len(self.labels)
 
     def split(self, label: Label) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-        """Split a label into (charger bits, magnon number, battery bits)."""
-        n = self.n_charger
-        return label[:n], label[n], label[n + 1:]
+        """Split a label into (charger registers, magnon number, battery registers)."""
+        k = self._mode
+        return label[:k], label[k], label[k + 1:]
 
     def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Excited chargers, magnon number and excited battery spins per label."""
-        occ, n = self._occupations, self.n_charger
-        return occ[:, :n].sum(axis=1), occ[:, n], occ[:, n + 1 :].sum(axis=1)
+        occ, k = self._occupations, self._mode
+        return occ[:, :k].sum(axis=1), occ[:, k], occ[:, k + 1 :].sum(axis=1)
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """Basis positions of the labels with these keys, -1 where absent."""
@@ -259,6 +282,10 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis):
             f"config registers ({config.n_charger}, {config.m_battery}) do not match "
             f"basis registers ({basis.n_charger}, {basis.m_battery})"
         )
+    if len(basis._capacity) != config.n_charger + config.m_battery + 1:
+        raise ValueError(
+            "basis has one column per register, but config couplings are per spin"
+        )
     if config.fock_cutoff is not None and config.fock_cutoff != basis.cutoff:
         raise ValueError(
             f"config fock_cutoff {config.fock_cutoff} does not match basis cutoff {basis.cutoff}"
@@ -268,19 +295,22 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis):
 def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
     """Real sparse matrix of an excitation-conserving Hamiltonian on the basis.
 
-    Spins are numbered chargers first, then battery spins.  ``diagonal``
-    holds one value per label, or is None for no diagonal.
-    ``couplings[s]`` is spin s's exchange g_s with the mode, or None for
-    no mode term; its hops carry the bosonic factor sqrt(n), n the larger
-    magnon number of the pair.  ``flip_flop[s, t]`` is the amplitude that
-    moves an excitation from spin s to spin t; pairs where it is zero are
-    not stored.  Each hop is emitted with its transpose partner.
+    Registers are numbered chargers first, then battery registers.
+    ``diagonal`` holds one value per label, or is None for no diagonal.
+    ``couplings[s]`` is register s's exchange g_s with the mode, or None
+    for no mode term; its hops carry the bosonic factor sqrt(n), n the
+    larger magnon number of the pair.  ``flip_flop[s, t]`` is the
+    amplitude that moves an excitation from register s to register t;
+    pairs where it is zero are not stored.  Every hop also carries the
+    ladder factors of the registers it lowers and raises, and is emitted
+    with its transpose partner.
     """
-    n, m = basis.n_charger, basis.m_battery
+    k = basis._mode
     occ, strides, keys = basis._occupations, basis._strides, basis._keys
-    spin_cols = np.r_[0:n, n + 1 : n + 1 + m]
-    excited = occ[:, spin_cols] == 1
-    spin_strides = strides[spin_cols]
+    regs = np.r_[0:k, k + 1 : occ.shape[1]]
+    capacity, reg_strides = basis._capacity[regs], strides[regs]
+    lowerable, raisable = (occ > 0)[:, regs], (occ < basis._capacity)[:, regs]
+    single = capacity.max(initial=0) <= 1  # every ladder factor is exactly 1
     rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
 
     def hop(p, q, forward, backward):
@@ -293,23 +323,37 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
         hit = q >= 0
         return hit, q[hit]
 
+    def ladder(p, s, shift):
+        # sqrt(n(K-n+1)), n the larger occupation of register s across the
+        # hop: the one in label p when it lowers (shift 0), one more when it raises
+        n = occ[p, regs[s]] + shift
+        return np.sqrt(n * (capacity[s] - n + 1))
+
     if diagonal is not None:
         every = np.arange(basis.dimension)
         rows.append(every)
         cols.append(every)
         vals.append(np.asarray(diagonal, dtype=float))
     if couplings is not None:
-        # spin s lowers, the magnon raises
-        p, s = np.nonzero(excited & (occ[:, n, None] < basis.cutoff))
-        hit, q = targets(p, strides[n] - spin_strides[s])
-        amp = np.asarray(couplings, dtype=float)[s[hit]] * np.sqrt(occ[q, n])
-        hop(p[hit], q, amp, amp)
+        # register s lowers, the magnon raises
+        p, s = np.nonzero(lowerable & (occ[:, k, None] < basis.cutoff))
+        hit, q = targets(p, strides[k] - reg_strides[s])
+        p, s = p[hit], s[hit]
+        amp = np.asarray(couplings, dtype=float)[s] * np.sqrt(occ[q, k])
+        if not single:
+            amp *= ladder(p, s, 0)
+        hop(p, q, amp, amp)
     a, b = np.nonzero(np.triu(flip_flop, 1))
-    # the excitation moves from spin a to spin b
-    p, k = np.nonzero(excited[:, a] & ~excited[:, b])
-    hit, q = targets(p, spin_strides[b[k]] - spin_strides[a[k]])
-    a, b = a[k[hit]], b[k[hit]]
-    hop(p[hit], q, flip_flop[a, b], flip_flop[b, a])
+    # the excitation moves from register a to register b
+    p, j = np.nonzero(lowerable[:, a] & raisable[:, b])
+    hit, q = targets(p, reg_strides[b[j]] - reg_strides[a[j]])
+    p, a, b = p[hit], a[j[hit]], b[j[hit]]
+    forward, backward = flip_flop[a, b], flip_flop[b, a]
+    if not single:
+        for factor in (ladder(p, a, 0), ladder(p, b, 1)):
+            forward *= factor
+            backward *= factor
+    hop(p, q, forward, backward)
 
     dim = basis.dimension
     matrix = sp.coo_matrix(
@@ -366,9 +410,10 @@ def basis_state(basis: SectorBasis, label: Label) -> StateVector:
 
 
 def charged_initial_state(basis: SectorBasis) -> StateVector:
-    """All chargers excited, magnon vacuum, battery in the ground state."""
-    label = (1,) * basis.n_charger + (0,) + (0,) * basis.m_battery
-    if tuple(label) not in basis.index:
+    """Charger registers filled to capacity, magnon vacuum, battery empty."""
+    k = basis._mode
+    label = tuple(basis._capacity[:k].tolist()) + (0,) * (len(basis._capacity) - k)
+    if label not in basis.index:
         raise ValueError(
             "fully charged configuration is outside this basis; it requires "
             f"n_excitations={basis.n_charger}"

@@ -1,13 +1,11 @@
 """Noise-averaged charging of the one-to-one chain through a jittery mode.
 
-The mediating mode frequency is shaken by a real Gaussian noise with
-Ornstein-Uhlenbeck correlation (gamma_noise * memory_gamma / 2) *
-exp(-memory_gamma * |t - s|).  Averaging the diffusion unraveling over
-noise realizations and tracing out the mode leaves deterministic
-equations for the coefficient functions of the single-excitation sector.
-In the white-noise limit (memory_gamma = inf) these close into two
-coupled quadratic ODEs (solve_f12); their difference obeys the scalar
-Riccati equation
+The mediating mode frequency is shaken by a real Gaussian white noise
+of strength gamma_noise.  Averaging the diffusion unraveling over noise
+realizations and tracing out the mode leaves deterministic equations
+for the coefficient functions of the single-excitation sector.  They
+close into two coupled quadratic ODEs (solve_f12); their difference
+obeys the scalar Riccati equation
 
     dℱ/dt = g^2 + λ ℱ + 2 ℱ^2,   ℱ(0) = 0,   λ = -gamma_noise/2 - i delta.
 
@@ -35,9 +33,6 @@ still open.  Frequency noise on the mode conserves the excitation
 number, so 1 - |a|^2 - |b|^2 is not population lost to a ground state:
 it is the mode's share of the averaged amplitude plus the part of the
 ensemble that has lost phase with the noiseless evolution.
-
-Only the white-noise limit has reduced dynamics; both solvers reject a
-finite memory_gamma.
 """
 
 from __future__ import annotations
@@ -76,17 +71,14 @@ class QsdParams:
     """Parameters of the noisy one-charger/one-battery chain.
 
     g couples each spin to the mode, omega is the spin splitting (and
-    the energy unit of the battery), omega_m the mean mode frequency,
-    gamma_noise the noise strength, and memory_gamma the inverse memory
-    time of the noise.  memory_gamma = math.inf selects the white-noise
-    limit, the only regime the reduced solvers accept.
+    the energy unit of the battery), omega_m the mean mode frequency and
+    gamma_noise the strength of the white frequency noise.
     """
 
     g: float
     omega: float
     omega_m: float
     gamma_noise: float
-    memory_gamma: float = math.inf
 
     def __post_init__(self) -> None:
         for name in ("g", "omega", "omega_m"):
@@ -95,20 +87,11 @@ class QsdParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not (math.isfinite(self.gamma_noise) and self.gamma_noise >= 0.0):
             raise ValueError(f"gamma_noise must be finite and >= 0, got {self.gamma_noise!r}")
-        if not self.memory_gamma > 0.0:
-            raise ValueError(
-                "memory_gamma must be positive (math.inf selects the white-noise limit), "
-                f"got {self.memory_gamma!r}"
-            )
 
     @property
     def delta(self) -> float:
         """Mode frequency minus spin splitting."""
         return self.omega_m - self.omega
-
-    @property
-    def is_markov(self) -> bool:
-        return math.isinf(self.memory_gamma)
 
 
 @dataclass(frozen=True)
@@ -150,14 +133,6 @@ def _validated_grid(t_grid) -> np.ndarray:
     return times
 
 
-def _require_markov(params: QsdParams) -> None:
-    if not params.is_markov:
-        raise ValueError(
-            "reduced coefficient dynamics hold only in the white-noise limit; "
-            "set memory_gamma=math.inf"
-        )
-
-
 def _threshold(params: QsdParams) -> float:
     return BLOWUP_FACTOR * abs(params.g) if params.g != 0.0 else 1.0
 
@@ -178,9 +153,8 @@ def solve_f12(params: QsdParams, t_grid, tol: float = DEFAULT_TOL):
     from F1(0) = F2(0) = 0 with an adaptive DOP853 integrator at relative
     and absolute tolerance tol.  Returns the pair (F1, F2) of complex
     arrays on the grid.  Raises RiccatiBlowupError when either
-    coefficient reaches BLOWUP_FACTOR * |g|.  White-noise limit only.
+    coefficient reaches BLOWUP_FACTOR * |g|.
     """
-    _require_markov(params)
     times = _validated_grid(t_grid)
     lam = complex(-0.5 * params.gamma_noise, -params.delta)
     gsq = params.g**2
@@ -313,9 +287,8 @@ def solve_calF(params: QsdParams, t_grid, tol: float = DEFAULT_TOL) -> FSolution
 
     Raises RiccatiBlowupError when |ℱ| reaches BLOWUP_FACTOR * |g|
     anywhere on [0, t_grid[-1]], between samples included: that is a
-    near-zero of u.  White-noise limit only.
+    near-zero of u.
     """
-    _require_markov(params)
     times = _validated_grid(t_grid)
     gsq = params.g**2
     r_a, kappa = _roots(params)

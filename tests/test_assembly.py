@@ -5,7 +5,9 @@ tensor product of the N charger spins, the mode and the M battery spins,
 in the order of a basis label, and then projected onto a basis through
 each label's position in that product.  Nothing here goes through the
 package's assembler, so every stored entry, explicit zero or not, is
-checked against an independent derivation.
+checked against an independent derivation.  The symmetric-register
+(collective) model is checked in turn against the per-spin effective
+model that these tests pin, through the Dicke embedding.
 """
 
 import numpy as np
@@ -14,10 +16,13 @@ import pytest
 from magnon_battery import (
     StateVector,
     SystemConfig,
+    basis_state,
     battery_energy_full,
     build_collective_hamiltonian,
     build_effective_hamiltonian,
     build_full_hamiltonian,
+    dicke_embed,
+    effective_couplings,
     enumerate_composite_basis,
     enumerate_sector_basis,
 )
@@ -136,6 +141,24 @@ def test_effective_hamiltonian_matches_kronecker_operator(n_excitations):
     assert built.basis.labels == enumerate_sector_basis(3, 2, 0, n_excitations).labels
     space, h = _effective_operator(cfg)
     assert np.max(np.abs(built.toarray() - space.project(h, built.basis.labels))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 10) for m in range(1, 11 - n)]
+)
+def test_collective_is_effective_model_on_symmetric_registers(n, m):
+    # registers of capacity K = N and M: V^dag H_eff V over the embedded
+    # Dicke states must be the collective model at the sweet spot J = -G
+    cfg = SystemConfig.dispersive(n, m, g_over_delta=0.1, j_over_delta=0.01)
+    coupling = effective_couplings(cfg).uniform_value()
+    assert coupling == pytest.approx(-0.01, rel=1e-12)
+    collective = build_collective_hamiltonian(coupling, n, m)
+    effective = build_effective_hamiltonian(cfg)
+    columns = [dicke_embed(basis_state(collective.basis, lab)) for lab in collective.basis.labels]
+    assert all(col.basis.labels == effective.basis.labels for col in columns)
+    v = np.array([col.amplitudes for col in columns]).T
+    projected = v.conj().T @ effective.toarray() @ v
+    assert np.max(np.abs(projected - collective.toarray())) <= 1e-12
 
 
 def test_zero_amplitude_pairs_are_not_stored():

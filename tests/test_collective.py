@@ -4,68 +4,45 @@ import numpy as np
 import pytest
 
 from magnon_battery import (
-    DickeBasis,
+    SectorBasis,
     StateVector,
     SystemConfig,
+    basis_state,
     build_collective_hamiltonian,
     build_effective_hamiltonian,
     charged_initial_state,
     collective_charged_state,
     dicke_embed,
     effective_couplings,
+    enumerate_sector_basis,
     evolve,
-    ladder_matrices,
-    ladder_matrix_element,
 )
 
 
-def test_ladder_matrix_element_values():
-    assert ladder_matrix_element(0.5, -0.5, "+") == pytest.approx(1.0)
-    assert ladder_matrix_element(0.5, 0.5, "+") == 0.0
-    assert ladder_matrix_element(1.0, 0.0, "-") == pytest.approx(math.sqrt(2))
-    assert ladder_matrix_element(1.5, 0.5, "+") == pytest.approx(math.sqrt(3))
-    assert ladder_matrix_element(1.0, 1.0, -1) == pytest.approx(math.sqrt(2))
-
-
-def test_ladder_matrix_element_errors():
-    with pytest.raises(ValueError, match="exceeds"):
-        ladder_matrix_element(0.5, 1.5, "+")
-    with pytest.raises(ValueError, match="not integer or half-integer"):
-        ladder_matrix_element(0.3, 0.0, "+")
-    with pytest.raises(ValueError, match="not reachable"):
-        ladder_matrix_element(1.0, 0.5, "+")
-    with pytest.raises(ValueError, match="direction"):
-        ladder_matrix_element(1.0, 0.0, "up")
-
-
-def test_ladder_matrices_algebra():
-    j = 1.5
-    j_plus, j_minus, j_z = ladder_matrices(j)
-    assert j_plus.shape == (4, 4)
-    assert (j_plus.toarray() == j_minus.toarray().T).all()
-    # [J+, J-] = 2 Jz and [Jz, J+] = J+
-    comm = (j_plus @ j_minus - j_minus @ j_plus).toarray()
-    assert np.allclose(comm, 2 * j_z.toarray())
-    comm_z = (j_z @ j_plus - j_plus @ j_z).toarray()
-    assert np.allclose(comm_z, j_plus.toarray())
-
-
 def test_dicke_basis_labels():
-    basis = DickeBasis(2, 2, 0.0)
-    assert basis.labels == ((1.0, -1.0), (0.0, 0.0), (-1.0, 1.0))
-    assert basis.j_charger == 1.0
+    # one column per register: (n_C, n_magnon, n_B), n_C descending
+    basis = build_collective_hamiltonian(0.01, 2, 2).basis
+    assert basis.labels == ((2, 0, 0), (1, 0, 1), (0, 0, 2))
+    assert basis.n_excitations == 2
     assert basis.dimension == 3
-    asym = DickeBasis(3, 1, 1.0)
-    assert asym.labels == ((1.5, -0.5), (0.5, 0.5))
+    asym = build_collective_hamiltonian(0.01, 3, 1).basis
+    assert asym.labels == ((3, 0, 0), (2, 0, 1))
+    assert asym.split(asym.labels[1]) == ((2,), 0, (1,))
+    # at N = M = 1 the symmetric basis is the per-spin sector basis
+    assert build_collective_hamiltonian(0.01, 1, 1).basis.labels == (
+        enumerate_sector_basis(1, 1, 0, 1).labels
+    )
 
 
 def test_dicke_basis_errors():
-    with pytest.raises(ValueError, match="empty sector"):
-        DickeBasis(1, 1, 5.0)
-    with pytest.raises(ValueError, match="half-integer"):
-        DickeBasis(2, 2, 0.3)
     with pytest.raises(ValueError, match="positive"):
-        DickeBasis(0, 1, 0.0)
+        build_collective_hamiltonian(0.01, 0, 1)
+    # a register holds at most its own number of spins
+    with pytest.raises(ValueError, match="occupation ranges"):
+        SectorBasis(2, 2, 0, ((3, 0, 0),), 3)
+    # labels are either one column per spin or one per register
+    with pytest.raises(ValueError, match="columns"):
+        SectorBasis(2, 2, 0, ((2, 0),), 2)
 
 
 def test_collective_hamiltonian_two_to_two():
@@ -87,18 +64,20 @@ def test_collective_hamiltonian_n_to_one():
 
 
 def test_collective_charged_state():
-    basis = DickeBasis(2, 2, 0.0)
+    basis = build_collective_hamiltonian(0.01, 2, 2).basis
     psi = collective_charged_state(basis)
     assert psi.amplitudes[0] == 1.0
-    with pytest.raises(ValueError, match="outside this sector"):
-        collective_charged_state(DickeBasis(2, 2, -1.0))
+    # a sector of the symmetric registers that the charged state is not in
+    other = SectorBasis(2, 2, 0, ((1, 0, 0), (0, 0, 1)), 1)
+    with pytest.raises(ValueError, match="outside this basis"):
+        collective_charged_state(other)
 
 
 def test_dicke_embed_binomial_weights():
     # two charger excitations out of three spread over C(3,2)=3 strings
-    basis = DickeBasis(3, 1, 1.0)
+    basis = build_collective_hamiltonian(0.01, 3, 1).basis
     amps = np.zeros(basis.dimension, dtype=complex)
-    amps[basis.index[(0.5, 0.5)]] = 1.0
+    amps[basis.index[(2, 0, 1)]] = 1.0
     embedded = dicke_embed(StateVector(amps, basis))
     assert embedded.basis.n_excitations == 3
     nonzero = {
@@ -116,7 +95,7 @@ def test_dicke_embed_binomial_weights():
 def test_dicke_embed_preserves_norm():
     rng = np.random.default_rng(3)
     for n, m in [(1, 1), (2, 2), (3, 2), (4, 3)]:
-        basis = DickeBasis(n, m, n / 2.0 - m / 2.0)
+        basis = build_collective_hamiltonian(0.01, n, m).basis
         amps = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         amps /= np.linalg.norm(amps)
         embedded = dicke_embed(StateVector(amps, basis))
@@ -124,11 +103,9 @@ def test_dicke_embed_preserves_norm():
 
 
 def test_dicke_embed_rejects_plain_basis():
-    from magnon_battery import enumerate_sector_basis, basis_state
-
-    basis = enumerate_sector_basis(1, 1, 0, 1)
-    with pytest.raises(TypeError, match="DickeBasis"):
-        dicke_embed(basis_state(basis, (1, 0, 0)))
+    basis = enumerate_sector_basis(2, 1, 0, 2)
+    with pytest.raises(TypeError, match="symmetric registers"):
+        dicke_embed(basis_state(basis, (1, 1, 0, 0)))
 
 
 def test_collective_matches_effective_at_sweet_spot():

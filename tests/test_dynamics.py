@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from magnon_battery import (
+    StateVector,
     SystemConfig,
     basis_state,
     battery_energy_full,
+    build_collective_hamiltonian,
     build_effective_hamiltonian,
     build_full_hamiltonian,
     charged_initial_state,
@@ -211,3 +213,19 @@ def test_energy_reported_in_splitting_units():
     times = np.linspace(0.0, math.pi / (2 * abs(g_eff)), 301)
     traj = evolve(h, charged_initial_state(h.basis), times)
     assert charging_metrics(traj).e_max == pytest.approx(1.0, abs=1e-6)
+
+
+def test_incompatible_basis_rejected():
+    # config couplings are per spin: they fit neither a basis of other
+    # register sizes nor a basis of symmetric registers
+    cfg = SystemConfig.dispersive(2, 2, g_over_delta=0.1)
+    cases = (
+        (enumerate_sector_basis(2, 3, 2, 2), "do not match"),
+        (build_collective_hamiltonian(0.01, 2, 2).basis, "one column per register"),
+    )
+    for basis, message in cases:
+        psi = StateVector(np.eye(basis.dimension)[0], basis)
+        with pytest.raises(ValueError, match=message):
+            build_full_hamiltonian(cfg, basis)
+        with pytest.raises(ValueError, match=message):
+            battery_energy_full(psi, basis, cfg)

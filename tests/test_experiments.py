@@ -196,8 +196,6 @@ gamma_over_delta = 0.0, 0.02
     assert spec.gammas == (0.0, 0.02)
     with pytest.raises(ConfigError, match=r"requires a \[noise\] section"):
         parse_config("[run]\nmode = qsd\n")
-    with pytest.raises(ConfigError, match="white-noise"):
-        parse_config(good + "memory_gamma = 2.0\n")
     with pytest.raises(ConfigError, match=">= 0"):
         parse_config(good.replace("0.0, 0.02", "-0.1"))
     detuned = good.replace("g_over_delta = 0.1\n", "g = 0.1\nomega = 5.0\nomega_m = 5.0\n")

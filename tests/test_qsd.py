@@ -38,15 +38,10 @@ def params():
 def test_params_validation():
     with pytest.raises(ValueError, match="gamma_noise"):
         QsdParams(g=0.1, omega=1.0, omega_m=2.0, gamma_noise=-0.1)
-    with pytest.raises(ValueError, match="memory_gamma"):
-        QsdParams(g=0.1, omega=1.0, omega_m=2.0, gamma_noise=0.1, memory_gamma=0.0)
     with pytest.raises(ValueError, match="finite"):
         QsdParams(g=math.inf, omega=1.0, omega_m=2.0, gamma_noise=0.0)
     p = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=0.0)
     assert p.delta == 1.0
-    assert p.is_markov
-    assert not QsdParams(g=0.1, omega=1.0, omega_m=2.0, gamma_noise=0.1,
-                         memory_gamma=5.0).is_markov
 
 
 def test_grid_validation(params):
@@ -58,14 +53,6 @@ def test_grid_validation(params):
         solve_calF(params, [0.0])
     with pytest.raises(ValueError, match="1-D"):
         solve_calF(params, [[0.0, 1.0]])
-
-
-def test_white_noise_limit_required():
-    colored = QsdParams(g=0.1, omega=10.0, omega_m=11.0, gamma_noise=0.1, memory_gamma=2.0)
-    with pytest.raises(ValueError, match="white-noise"):
-        solve_calF(colored, np.linspace(0.0, 10.0, 11))
-    with pytest.raises(ValueError, match="white-noise"):
-        solve_f12(colored, np.linspace(0.0, 10.0, 11))
 
 
 def test_solution_invariants(params):
