@@ -23,9 +23,9 @@ import numpy as np
 
 from .hilbert import (
     HamiltonianMatrix,
-    SectorBasis,
     StateVector,
     _assemble,
+    _register_sector,
     charged_initial_state,
     enumerate_sector_basis,
 )
@@ -51,9 +51,7 @@ def build_collective_hamiltonian(
     """
     if n_charger < 1 or m_battery < 1:
         raise ValueError("register sizes must be positive")
-    low = max(0, n_charger - m_battery)
-    labels = tuple((n_c, 0, n_charger - n_c) for n_c in range(n_charger, low - 1, -1))
-    basis = SectorBasis(n_charger, m_battery, 0, labels, n_charger)
+    basis = _register_sector(n_charger, m_battery, 0, n_charger)
     exchange = np.array([[0.0, coupling], [coupling, 0.0]])
     return HamiltonianMatrix(_assemble(basis, None, None, exchange), basis)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag
 
 from .config import SystemConfig
 from .hilbert import HamiltonianMatrix, SectorBasis, StateVector, _assemble, _check_compatible
@@ -229,12 +228,12 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
 
     The default energy observable counts excited battery spins only;
     this diagnostic adds the intra-battery exchange expectation, which
-    every closed-form result drops.
+    every closed-form result drops.  On symmetric registers the exchange
+    term is J_B n_B(M - n_B).
     """
-    _check_compatible(config, basis)
-    n = basis.n_charger
+    _, exchange = _check_compatible(config, basis)
+    exchange[: basis._mode] = 0.0  # keep the battery registers' exchange only
     battery = config.omega * basis._counts()[2]
-    exchange = block_diag(np.zeros((n, n)), config.j_battery)
     h_battery = _assemble(basis, battery, None, exchange)
     amps = psi.amplitudes
     return float(np.vdot(amps, h_battery @ amps).real)

@@ -32,7 +32,13 @@ from .collective import build_collective_hamiltonian, collective_charged_state
 from .config import SystemConfig
 from .dynamics import Trajectory, charging_horizon, charging_metrics, evolve
 from .effective import build_effective_hamiltonian, effective_couplings
-from .hilbert import build_full_hamiltonian, charged_initial_state, enumerate_sector_basis
+from .hilbert import (
+    _register_couplings,
+    _register_sector,
+    build_full_hamiltonian,
+    charged_initial_state,
+    enumerate_sector_basis,
+)
 from .analytic import e_n_one, e_one_one, e_two_one, e_two_two
 from .qsd import QsdParams, solve_calF
 
@@ -63,9 +69,6 @@ MODES = (
     "compare",
 )
 
-# models with a full Hilbert sector; sweeps over these are capped
-FULL_SWEEP_CAP = 12
-
 _KNOWN_KEYS = {
     "run": {
         "mode",
@@ -75,7 +78,6 @@ _KNOWN_KEYS = {
         "out",
         "threads",
         "tol",
-        "allow_large",
     },
     "system": {
         "n_charger",
@@ -142,7 +144,6 @@ class ExperimentSpec:
     out: str | None
     threads: int
     tol: float
-    allow_large: bool
     models: tuple[str, ...] | None
     exchanges: tuple[str, ...]
     j_values: tuple[float, ...] | None
@@ -342,16 +343,6 @@ class _Section:
         if minimum is not None and value < minimum:
             self.fail(key, f"must be >= {minimum}")
         return value
-
-    def get_bool(self, key, default=False):
-        if key not in self.data:
-            return default
-        raw = self.data[key].strip().lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        self.fail(key, f"cannot parse {raw!r} as a boolean")
 
     def get_float_list(self, key, default=None):
         if key not in self.data:
@@ -600,7 +591,6 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         out=run.get_str("out"),
         threads=run.get_int("threads", 1, minimum=1),
         tol=run.get_float("tol", 1e-10, positive=True),
-        allow_large=run.get_bool("allow_large", False),
         models=models,
         exchanges=exchanges,
         j_values=j_values,
@@ -632,7 +622,6 @@ def _validate_mode(spec: ExperimentSpec) -> None:
             raise ConfigError(
                 "[sweep]: the collective model is derived at the sweet spot; exchange must be 'sweet'"
             )
-    _check_sweep_cap(spec)
 
 
 def _default_models(mode: str) -> tuple[str, ...]:
@@ -642,26 +631,6 @@ def _default_models(mode: str) -> tuple[str, ...]:
         "sweep-j": ("effective",),
         "compare": ("full", "effective"),
     }[mode]
-
-
-def _check_sweep_cap(spec: ExperimentSpec) -> None:
-    if spec.mode not in ("sweep-n", "sweep-nm", "sweep-j") or spec.allow_large:
-        return
-    models = spec.models or _default_models(spec.mode)
-    if "full" not in models:
-        return
-    worst = 0
-    if spec.mode == "sweep-n":
-        worst = spec.n_range[1] + spec.system.m_battery
-    elif spec.mode == "sweep-nm":
-        worst = max(r * spec.m_max + spec.m_max for r in spec.ratios)
-    elif spec.mode == "sweep-j":
-        worst = spec.system.n_charger + spec.system.m_battery
-    if worst > FULL_SWEEP_CAP:
-        raise ConfigError(
-            f"full-model sweep reaches n_charger + m_battery = {worst} > {FULL_SWEEP_CAP}; "
-            "set [run] allow_large = true to override"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +686,9 @@ def _trajectory(model: str, config: SystemConfig, times: np.ndarray, tol: float)
     if model == "full":
         n_exc = config.n_charger
         cutoff = config.fock_cutoff if config.fock_cutoff is not None else n_exc
-        basis = enumerate_sector_basis(config.n_charger, config.m_battery, cutoff, n_exc)
+        # one symmetric register per side where the config allows it, else one per spin
+        sector = _register_sector if _register_couplings(config) else enumerate_sector_basis
+        basis = sector(config.n_charger, config.m_battery, cutoff, n_exc)
         h = build_full_hamiltonian(config, basis)
         return evolve(h, charged_initial_state(basis), times, tol=tol)
     if model == "effective":

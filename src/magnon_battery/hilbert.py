@@ -30,7 +30,16 @@ Lowering a register that holds n of its K excitations carries the ladder
 factor sqrt(n(K-n+1)), raising it sqrt((n+1)(K-n)); both are exactly 1
 for a single spin.  The diagonal and the mode hops are always stored,
 explicit zeros included; a flip-flop pair is stored only where its
-amplitude is nonzero.
+amplitude is nonzero.  The diagonal of the flip-flop matrix is each
+register's exchange J among its own spins: on the symmetric irrep,
+sum_{i<j} (s+_i s-_j + h.c.) = S+S- - n, which adds J n(K-n) to the
+diagonal (nothing for a single spin, where it is skipped).
+
+The full model runs on symmetric registers whenever a config is uniform
+within each register: every charger spin has the same g and every
+charger pair the same J, and likewise for the battery.  Each register
+then stays in its symmetric irrep, so the (n_C, n_magnon, n_B) sector
+is exact.  Any other config needs one register per spin.
 """
 
 from __future__ import annotations
@@ -155,8 +164,15 @@ class HamiltonianMatrix:
             raise ValueError(
                 f"matrix shape {csr.shape} does not match basis dimension {basis.dimension}"
             )
-        if (csr != csr.getH()).nnz != 0:
-            raise ValueError("matrix is not Hermitian")
+        adjoint = csr.T.tocsr()  # canonical, like csr
+        np.conjugate(adjoint.data, out=adjoint.data)
+        if not _same_entries(csr, adjoint):
+            # the stored patterns may differ by explicit zeros only
+            trimmed = csr.copy()
+            trimmed.eliminate_zeros()
+            adjoint.eliminate_zeros()
+            if not _same_entries(trimmed, adjoint):
+                raise ValueError("matrix is not Hermitian")
         self.matrix = csr
         self.basis = basis
 
@@ -178,6 +194,15 @@ class HamiltonianMatrix:
 
     def __repr__(self) -> str:
         return f"HamiltonianMatrix(dim={self.dimension}, nnz={self.nnz})"
+
+
+def _same_entries(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Equal canonical CSR arrays (a NaN entry is never equal)."""
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
 
 
 @dataclass(frozen=True)
@@ -260,6 +285,22 @@ def enumerate_sector_basis(
     return SectorBasis(n_charger, m_battery, cutoff, tuple(labels), n_excitations)
 
 
+def _register_sector(
+    n_charger: int, m_battery: int, cutoff: int, n_excitations: int
+) -> SectorBasis:
+    """The labels (n_C, n_magnon, n_B) of one sector, descending lex order.
+
+    One symmetric register per side, so at most (N+1)(M+1) labels.
+    """
+    labels = tuple(
+        (n_c, n_m, n_excitations - n_c - n_m)
+        for n_c in range(min(n_charger, n_excitations), -1, -1)
+        for n_m in range(min(cutoff, n_excitations - n_c), -1, -1)
+        if n_excitations - n_c - n_m <= m_battery
+    )
+    return SectorBasis(n_charger, m_battery, cutoff, labels, n_excitations)
+
+
 def enumerate_composite_basis(n_charger: int, m_battery: int, cutoff: int) -> SectorBasis:
     """Union of all excitation sectors up to the Fock cutoff.
 
@@ -276,20 +317,47 @@ def enumerate_composite_basis(n_charger: int, m_battery: int, cutoff: int) -> Se
     return SectorBasis(n_charger, m_battery, cutoff, tuple(labels), None)
 
 
+def _register_couplings(config: SystemConfig):
+    """((g_C, J_C), (g_B, J_B)) if each register is uniform, else None.
+
+    Uniform means every spin of the register has the same g and every
+    pair of it the same J; then the register keeps to its symmetric
+    irrep.  A single spin has no pair; its J is reported as 0.
+    """
+    registers = []
+    for g, j in ((config.g_charger, config.j_charger), (config.g_battery, config.j_battery)):
+        pairs = set(j[np.triu_indices(len(g), 1)].tolist())
+        if len(set(g)) > 1 or len(pairs) > 1:
+            return None
+        registers.append((g[0], pairs.pop() if pairs else 0.0))
+    return tuple(registers)
+
+
 def _check_compatible(config: SystemConfig, basis: SectorBasis):
+    """Mode couplings and flip-flop matrix of config over the registers of basis.
+
+    Raises if the register sizes or the cutoff differ, or if the basis
+    has one column per register while config is not uniform within
+    each register.
+    """
     if (config.n_charger, config.m_battery) != (basis.n_charger, basis.m_battery):
         raise ValueError(
             f"config registers ({config.n_charger}, {config.m_battery}) do not match "
             f"basis registers ({basis.n_charger}, {basis.m_battery})"
         )
-    if len(basis._capacity) != config.n_charger + config.m_battery + 1:
-        raise ValueError(
-            "basis has one column per register, but config couplings are per spin"
-        )
     if config.fock_cutoff is not None and config.fock_cutoff != basis.cutoff:
         raise ValueError(
             f"config fock_cutoff {config.fock_cutoff} does not match basis cutoff {basis.cutoff}"
         )
+    if len(basis._capacity) == config.n_charger + config.m_battery + 1:
+        return config.g_charger + config.g_battery, block_diag(config.j_charger, config.j_battery)
+    registers = _register_couplings(config)
+    if registers is None:
+        raise ValueError(
+            "basis has one column per register, but config couplings differ within a register"
+        )
+    (g_c, j_c), (g_b, j_b) = registers
+    return (g_c, g_b), np.diag([j_c, j_b])
 
 
 def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
@@ -301,9 +369,10 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     for no mode term; its hops carry the bosonic factor sqrt(n), n the
     larger magnon number of the pair.  ``flip_flop[s, t]`` is the
     amplitude that moves an excitation from register s to register t;
-    pairs where it is zero are not stored.  Every hop also carries the
-    ladder factors of the registers it lowers and raises, and is emitted
-    with its transpose partner.
+    pairs where it is zero are not stored.  ``flip_flop[s, s]`` is the
+    exchange J among the spins of register s, which adds J n(K-n) to the
+    diagonal.  Every hop also carries the ladder factors of the registers
+    it lowers and raises, and is emitted with its transpose partner.
     """
     k = basis._mode
     occ, strides, keys = basis._occupations, basis._strides, basis._keys
@@ -329,6 +398,12 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
         n = occ[p, regs[s]] + shift
         return np.sqrt(n * (capacity[s] - n + 1))
 
+    own = np.diag(flip_flop)
+    if not single and own.any():
+        # sum_{i<j} J (s+_i s-_j + h.c.) = J (S+S- - n) = J n(K-n) on the irrep
+        held = occ[:, regs]
+        exchange = (held * (capacity - held)) @ own
+        diagonal = exchange if diagonal is None else diagonal + exchange
     if diagonal is not None:
         every = np.arange(basis.dimension)
         rows.append(every)
@@ -369,13 +444,13 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
     exchange within each register, and spin-mode exchange with bosonic
     factors sqrt(n), sqrt(n+1).  Every off-diagonal term is emitted
     together with its conjugate partner, so the matrix is Hermitian by
-    construction.
+    construction.  A basis of one column per register needs a config
+    that is uniform within each register.
     """
-    _check_compatible(config, basis)
+    couplings, exchange = _check_compatible(config, basis)
     chargers, magnons, batteries = basis._counts()
     diagonal = config.omega * (chargers + batteries) + config.omega_m * magnons
-    exchange = block_diag(config.j_charger, config.j_battery)
-    matrix = _assemble(basis, diagonal, config.g_charger + config.g_battery, exchange)
+    matrix = _assemble(basis, diagonal, couplings, exchange)
     return HamiltonianMatrix(matrix, basis)
 
 

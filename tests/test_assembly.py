@@ -6,8 +6,9 @@ in the order of a basis label, and then projected onto a basis through
 each label's position in that product.  Nothing here goes through the
 package's assembler, so every stored entry, explicit zero or not, is
 checked against an independent derivation.  The symmetric-register
-(collective) model is checked in turn against the per-spin effective
-model that these tests pin, through the Dicke embedding.
+models (the collective model, the full model and the battery energy of
+a register-uniform config) are checked in turn against the per-spin
+models that these tests pin, through the Dicke embedding.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from magnon_battery import (
     enumerate_composite_basis,
     enumerate_sector_basis,
 )
+from magnon_battery.hilbert import _register_sector
 
 RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0| on occupations (0, 1)
 
@@ -159,6 +161,71 @@ def test_collective_is_effective_model_on_symmetric_registers(n, m):
     v = np.array([col.amplitudes for col in columns]).T
     projected = v.conj().T @ effective.toarray() @ v
     assert np.max(np.abs(projected - collective.toarray())) <= 1e-12
+
+
+def _register_uniform(n, m, g_c, g_b, j_c, j_b):
+    return SystemConfig(
+        n_charger=n,
+        m_battery=m,
+        omega=10.0,
+        omega_m=11.0,
+        g_charger=g_c,
+        g_battery=g_b,
+        j_charger=j_c,
+        j_battery=j_b,
+    )
+
+
+def _dicke_columns(basis):
+    """V: the embedded Dicke states of a register basis, one per column."""
+    columns = [dicke_embed(basis_state(basis, lab)) for lab in basis.labels]
+    return columns[0].basis, np.array([col.amplitudes for col in columns]).T
+
+
+# (g_C, g_B, J_C, J_B): uniform with J in {0, -G, 0.05} (G = -0.01), and
+# registers that differ from each other but are uniform within themselves
+REGISTER_COUPLINGS = (
+    (0.1, 0.1, 0.0, 0.0),
+    (0.1, 0.1, 0.01, 0.01),
+    (0.1, 0.1, 0.05, 0.05),
+    (0.1, 0.13, 0.02, -0.03),
+)
+
+
+@pytest.mark.parametrize(
+    "n, m, cutoff",
+    [(n, m, n) for n in range(1, 10) for m in range(1, 11 - n)]
+    + [(3, 2, 1), (4, 3, 2), (6, 4, 0)],
+)
+def test_full_model_on_symmetric_registers(n, m, cutoff):
+    # V^dag H_full V over the embedded Dicke states must be the full model
+    # on the register sector, J n(K-n) diagonal included
+    basis = _register_sector(n, m, cutoff, n)
+    spins, v = _dicke_columns(basis)
+    assert spins.labels == enumerate_sector_basis(n, m, cutoff, n).labels
+    assert basis.dimension <= (n + 1) * (m + 1)
+    for couplings in REGISTER_COUPLINGS:
+        cfg = _register_uniform(n, m, *couplings)
+        projected = v.conj().T @ build_full_hamiltonian(cfg, spins).toarray() @ v
+        built = build_full_hamiltonian(cfg, basis).toarray()
+        assert np.max(np.abs(projected - built)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, m, cutoff", [(2, 2, 2), (3, 3, 1), (2, 4, 2), (4, 3, 4)])
+def test_battery_energy_on_symmetric_registers(n, m, cutoff):
+    basis = _register_sector(n, m, cutoff, n)
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi = StateVector(amps / np.linalg.norm(amps), basis)
+    spread = dicke_embed(psi)
+    n_b = np.array([lab[2] for lab in basis.labels])
+    for couplings in REGISTER_COUPLINGS:
+        cfg = _register_uniform(n, m, *couplings)
+        j_b = couplings[3]
+        got = battery_energy_full(psi, basis, cfg)
+        closed = np.abs(psi.amplitudes) ** 2 @ (cfg.omega * n_b + j_b * n_b * (m - n_b))
+        assert got == pytest.approx(closed, rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(battery_energy_full(spread, spread.basis, cfg), rel=1e-12, abs=1e-12)
 
 
 def test_zero_amplitude_pairs_are_not_stored():

@@ -216,16 +216,31 @@ def test_energy_reported_in_splitting_units():
 
 
 def test_incompatible_basis_rejected():
-    # config couplings are per spin: they fit neither a basis of other
-    # register sizes nor a basis of symmetric registers
-    cfg = SystemConfig.dispersive(2, 2, g_over_delta=0.1)
+    # a config fits no basis of other register sizes, and a basis of
+    # symmetric registers only if it is uniform within each register
+    disordered = SystemConfig(
+        n_charger=2,
+        m_battery=2,
+        omega=10.0,
+        omega_m=11.0,
+        g_charger=(0.1, 0.12),
+        g_battery=(0.1, 0.1),
+        j_charger=0.0,
+        j_battery=0.0,
+    )
+    symmetric = build_collective_hamiltonian(0.01, 2, 2).basis
     cases = (
         (enumerate_sector_basis(2, 3, 2, 2), "do not match"),
-        (build_collective_hamiltonian(0.01, 2, 2).basis, "one column per register"),
+        (symmetric, "one column per register"),
     )
     for basis, message in cases:
         psi = StateVector(np.eye(basis.dimension)[0], basis)
         with pytest.raises(ValueError, match=message):
-            build_full_hamiltonian(cfg, basis)
+            build_full_hamiltonian(disordered, basis)
         with pytest.raises(ValueError, match=message):
-            battery_energy_full(psi, basis, cfg)
+            battery_energy_full(psi, basis, disordered)
+    uniform = SystemConfig.dispersive(2, 2, g_over_delta=0.1)
+    assert build_full_hamiltonian(uniform, symmetric).dimension == symmetric.dimension
+    # (n_C, n_m, n_B) = (2, 0, 0): nothing stored in the battery
+    psi = StateVector(np.eye(symmetric.dimension)[0], symmetric)
+    assert battery_energy_full(psi, symmetric, uniform) == 0.0

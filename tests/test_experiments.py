@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,15 @@ import pytest
 from magnon_battery import (
     ConfigError,
     PRESETS,
+    build_full_hamiltonian,
+    charged_initial_state,
+    enumerate_sector_basis,
+    evolve,
     parse_config,
     run_experiment,
     sweep_metrics,
 )
+from magnon_battery import experiments
 from magnon_battery.cli import main
 
 MINIMAL = """\
@@ -36,7 +43,6 @@ def test_minimal_config_and_defaults():
     assert spec.horizon_factor == 1.2
     assert spec.threads == 1
     assert spec.tol == 1e-10
-    assert not spec.allow_large
     assert spec.system.n_charger == 1
     # delta defaults to 1, omega_over_delta to 10, mode above the spins
     assert spec.system.omega == 10.0
@@ -176,8 +182,9 @@ def test_bad_scalar_values():
         parse_config(MINIMAL.replace("samples = 51", "tol = 0.0"))
     with pytest.raises(ConfigError, match="must be nonzero"):
         parse_config(MINIMAL + "delta = 0.0\n")
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config(MINIMAL.replace("samples = 51", "allow_large = maybe"))
+    # the full-model sweep cap and its override key are gone
+    with pytest.raises(ConfigError, match="allow_large: unknown key"):
+        parse_config(MINIMAL.replace("samples = 51", "allow_large = true"))
 
 
 def test_qsd_validation():
@@ -217,10 +224,9 @@ models = full
 n_min = 1
 n_max = 12
 """
-    with pytest.raises(ConfigError, match="allow_large"):
-        parse_config(base)
-    parse_config(base.replace("[run]\n", "[run]\nallow_large = true\n"))
-    parse_config(base.replace("n_max = 12", "n_max = 11"))
+    # full sweeps run on symmetric registers and are not capped
+    parse_config(base)
+    parse_config(base.replace("n_max = 12", "n_max = 40"))
     with pytest.raises(ConfigError, match="must be >= n_min"):
         parse_config(base.replace("n_min = 1", "n_min = 13"))
     with pytest.raises(ConfigError, match="sweet"):
@@ -291,6 +297,107 @@ def test_compare_schema_and_default_j():
     assert len(rows) == 2 * 51  # (full, effective) x samples, J defaults to 0
     assert {r[0] for r in rows} == {"full", "effective"}
     assert {r[1] for r in rows} == {"0.0"}
+
+
+def _table(text):
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+def _per_spin_full(config, times):
+    n = config.n_charger
+    basis = enumerate_sector_basis(n, config.m_battery, n, n)
+    return evolve(build_full_hamiltonian(config, basis), charged_initial_state(basis), times)
+
+
+def _record_dims(monkeypatch):
+    dims = []
+
+    def recording(h, *args, **kwargs):
+        dims.append(h.dimension)
+        return evolve(h, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve", recording)
+    return dims
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 3)])
+def test_full_runs_on_symmetric_registers(monkeypatch, n, m):
+    # simulate-full and compare take the register sector for configs
+    # uniform within each register; E(t) is the per-spin model's
+    dims = _record_dims(monkeypatch)
+    text = f"""\
+[run]
+mode = simulate-full
+samples = 201
+
+[system]
+n_charger = {n}
+m_battery = {m}
+g_charger_over_delta = 0.1
+g_battery_over_delta = 0.13
+j_charger_over_delta = 0.02
+j_battery_over_delta = -0.03
+"""
+    spec = parse_config(text)
+    rows = np.array(_table(run_experiment(spec)), dtype=float)
+    want = _per_spin_full(spec.system, rows[:, 0])
+    assert np.max(np.abs(rows[:, 1] - want.energy)) <= 1e-10
+    assert np.max(np.abs(rows[:, 3] - want.norm)) <= 1e-10
+    assert np.max(np.abs(rows[:, 4] - want.magnon)) <= 1e-10
+    compare = f"""\
+[run]
+mode = compare
+samples = 201
+
+[system]
+n_charger = {n}
+m_battery = {m}
+g_over_delta = 0.1
+
+[sweep]
+models = full
+j_values_over_delta = 0.0, 0.01, 0.05
+"""
+    spec = parse_config(compare)
+    rows = _table(run_experiment(spec))
+    for j in spec.j_values:
+        block = np.array([r[2:4] for r in rows if float(r[1]) == j], dtype=float)
+        config = replace(spec.system, j_charger=j, j_battery=j)
+        want = _per_spin_full(config, block[:, 0])
+        assert np.max(np.abs(block[:, 1] - want.energy)) <= 1e-10
+    assert len(dims) == 4 and max(dims) <= (n + 1) * (m + 1)
+
+
+def test_full_sweep_beyond_forty_spins(monkeypatch):
+    # every sweep point is uniform, so N + M = 40 runs on symmetric registers
+    dims = _record_dims(monkeypatch)
+
+    def per_spin(*args):
+        raise AssertionError("a uniform sweep point took the per-spin basis")
+
+    monkeypatch.setattr(experiments, "enumerate_sector_basis", per_spin)
+    text = """\
+[run]
+mode = sweep-n
+samples = 401
+
+[system]
+m_battery = 3
+g_over_delta = 0.1
+
+[sweep]
+models = full
+exchange = zero, sweet
+n_min = 37
+n_max = 37
+"""
+    start = time.perf_counter()
+    rows = sweep_metrics(parse_config(text))
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 5.0, f"full 37+3 sweep took {elapsed:.2f} s"
+    assert dims == [146, 146] and max(dims) <= 38 * 4
+    assert all(0.0 < row.e_max <= 3.0 for row in rows)
 
 
 def test_qsd_schema_gamma_column_only_when_swept():

@@ -150,6 +150,44 @@ def test_hamiltonian_requires_hermitian():
         HamiltonianMatrix(bad, basis)
 
 
+def test_hermitian_check_ignores_explicit_zeros():
+    # an explicit zero stored on one side of the diagonal only is kept
+    basis = enumerate_sector_basis(1, 1, 1, 1)
+    entries = (np.array([0.0, 1.0, 1j, -1j]), ([0, 0, 1, 2], [1, 0, 2, 1]))
+    h = HamiltonianMatrix(sp.coo_matrix(entries, shape=(3, 3)), basis)
+    assert h.nnz == 4 and h.matrix[0, 1] == 0.0
+
+
+def test_hermitian_check_matches_elementwise_comparison():
+    # the check accepts exactly the matrices whose elementwise comparison
+    # with the conjugate transpose finds no difference
+    basis = enumerate_sector_basis(1, 2, 1, 1)
+    rng = np.random.default_rng(3)
+    values = np.array([0.0, 1.0, -1.0, 2.5, 1j, -1j, 1 + 1j, np.inf, np.nan])
+    accepted = 0
+    for _ in range(400):
+        k = rng.integers(0, 6)
+        rows, cols = rng.integers(0, 4, k), rng.integers(0, 4, k)
+        data = rng.choice(values, k)
+        # mirror most entries, then store a few zeros and one stray value
+        mirror = rng.random(k) < 0.9
+        rows, cols = np.r_[rows, cols[mirror]], np.r_[cols, rows[mirror]]
+        data = np.r_[data, data[mirror].conj()]
+        extra = rng.integers(0, 3)
+        rows, cols = np.r_[rows, rng.integers(0, 4, extra)], np.r_[cols, rng.integers(0, 4, extra)]
+        data = np.r_[data, np.where(rng.random(extra) < 0.8, 0.0, rng.choice(values, extra))]
+        csr = sp.csr_matrix(sp.coo_matrix((data, (rows, cols)), shape=(4, 4)), dtype=complex)
+        csr.sum_duplicates()
+        hermitian = (csr != csr.getH()).nnz == 0
+        accepted += hermitian
+        if hermitian:
+            HamiltonianMatrix(csr, basis)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                HamiltonianMatrix(csr, basis)
+    assert 100 < accepted < 300
+
+
 def test_config_basis_mismatch():
     cfg = SystemConfig.uniform(2, 1, g=0.1, omega=1.0, omega_m=2.0)
     with pytest.raises(ValueError, match="registers"):
