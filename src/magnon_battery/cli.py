@@ -17,6 +17,7 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -91,8 +92,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--threads must be >= 1")
             overrides["threads"] = args.threads
         if args.tol is not None:
-            if not args.tol > 0.0:
-                raise ConfigError("--tol must be > 0")
+            if not (math.isfinite(args.tol) and args.tol > 0.0):
+                raise ConfigError("--tol must be finite and > 0")
             overrides["tol"] = args.tol
         if overrides:
             spec = replace(spec, **overrides)

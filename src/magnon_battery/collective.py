@@ -25,6 +25,7 @@ from .hilbert import (
     HamiltonianMatrix,
     StateVector,
     _assemble,
+    _capacity,
     _register_sector,
     charged_initial_state,
     enumerate_sector_basis,
@@ -66,7 +67,7 @@ def dicke_embed(state: StateVector) -> StateVector:
     """
     basis = state.basis
     n, m, cutoff = basis.n_charger, basis.m_battery, basis.cutoff
-    if basis._capacity.tolist() != [n, cutoff, m]:
+    if basis._capacity.tolist() != _capacity(n, m, cutoff, per_spin=False):
         raise TypeError("dicke_embed expects amplitudes over symmetric registers")
     target = enumerate_sector_basis(n, m, cutoff, basis.n_excitations)
     n_c, n_m, n_b = basis._counts()

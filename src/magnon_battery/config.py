@@ -156,13 +156,13 @@ class SystemConfig:
             fock_cutoff=fock_cutoff,
         )
 
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
-        """True when every spin has the same g and every pair the same J."""
+    def is_uniform(self) -> bool:
+        """True when every spin has the same g and every pair the same J, to 1e-12."""
         gs = self.g_charger + self.g_battery
-        if not np.allclose(gs, gs[0], rtol=rtol, atol=0.0):
+        if not np.allclose(gs, gs[0], rtol=1e-12, atol=0.0):
             return False
         offs = []
         for mat in (self.j_charger, self.j_battery):
             n = mat.shape[0]
             offs.extend(mat[i, j] for i in range(n) for j in range(n) if i != j)
-        return not offs or bool(np.allclose(offs, offs[0], rtol=rtol, atol=0.0))
+        return not offs or bool(np.allclose(offs, offs[0], rtol=1e-12, atol=0.0))

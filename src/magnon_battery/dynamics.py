@@ -2,14 +2,15 @@
 
 ``evolve`` integrates the Schroedinger equation for any Hermitian
 operator produced by this package and samples the battery observables
-on a caller-supplied time grid.  Small problems (the default threshold
-covers every configuration in the sweeps) go through a full Hermitian
-eigendecomposition, which makes the phase evolution exact; larger ones
-fall back to an adaptive high-order Runge-Kutta integrator.  The
-integrator runs in the frame rotating at the mean diagonal energy, so it
-does not resolve the large constant phase of an excitation sector, and
-it walks the grid in slices so that its memory does not grow with the
-number of samples.
+on a caller-supplied time grid.  Problems of at most ``dense_threshold``
+states (default 2048) go through a full Hermitian eigendecomposition,
+which makes the phase evolution exact; larger ones, such as the
+per-spin effective sector of N = 10, M = 6 (dim 8,008) in a sweep, go
+to an adaptive high-order Runge-Kutta integrator.  The integrator runs
+in the frame rotating at the mean diagonal energy, so it does not
+resolve the large constant phase of an excitation sector, and it walks
+the grid in slices so that its memory does not grow with the number of
+samples.
 
 Energies are reported as battery excitation numbers, i.e. in units of
 the spin splitting omega; times and powers are in raw model units.

@@ -109,13 +109,13 @@ def effective_couplings(config: SystemConfig) -> EffectiveCouplings:
     return EffectiveCouplings(cross, intra_c, intra_b, detuning=delta)
 
 
-def _warn_if_not_dispersive(config: SystemConfig, warn_ratio: float):
+def _warn_if_not_dispersive(config: SystemConfig):
     biggest = max(
         max(abs(g) for g in config.g_charger + config.g_battery),
         float(np.max(np.abs(config.j_charger))) if config.n_charger > 1 else 0.0,
         float(np.max(np.abs(config.j_battery))) if config.m_battery > 1 else 0.0,
     )
-    if biggest > warn_ratio * abs(config.detuning):
+    if biggest > DEFAULT_WARN_RATIO * abs(config.detuning):
         warnings.warn(
             f"couplings up to {biggest:g} against detuning {config.detuning:g}: "
             "the dispersive elimination is not well controlled here",
@@ -124,10 +124,7 @@ def _warn_if_not_dispersive(config: SystemConfig, warn_ratio: float):
 
 
 def build_effective_hamiltonian(
-    config: SystemConfig,
-    n_excitations: int | None = None,
-    *,
-    warn_ratio: float = DEFAULT_WARN_RATIO,
+    config: SystemConfig, n_excitations: int | None = None
 ) -> HamiltonianMatrix:
     """Spin-only Hamiltonian with the mode eliminated.
 
@@ -137,7 +134,7 @@ def build_effective_hamiltonian(
     defaults to the sector reached from the fully charged initial
     state, n_excitations = N.
     """
-    _warn_if_not_dispersive(config, warn_ratio)
+    _warn_if_not_dispersive(config)
     couplings = effective_couplings(config)
     if n_excitations is None:
         n_excitations = config.n_charger

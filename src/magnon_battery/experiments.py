@@ -349,9 +349,14 @@ class _Section:
             return default
         parts = [p.strip() for p in self.data[key].split(",")]
         try:
-            return tuple(float(p) for p in parts if p)
+            values = tuple(float(p) for p in parts if p)
         except ValueError:
             self.fail(key, f"cannot parse {self.data[key]!r} as a comma-separated number list")
+        if not all(map(math.isfinite, values)):
+            self.fail(key, "entries must be finite")
+        if not values:
+            self.fail(key, "list is empty")
+        return values
 
     def get_int_list(self, key, default=None, *, minimum=None):
         values = self.get_float_list(key, None)

@@ -13,12 +13,16 @@ product state stays inside one sector; restricting the basis to that
 sector with cutoff equal to the excitation number is exact, not a
 truncation.
 
-Labels are ordered descending-lexicographically, which puts the fully
-charged configuration first and makes matrix files reproducible byte
-for byte.
+The capacity vector of a layout is written once, in ``_capacity``:
+``[1]*N + [cutoff] + [1]*M`` per spin, ``[N, cutoff, M]`` per register.
+Every basis is enumerated by one walk, ``_sector``, over that vector:
+it emits the occupation rows that fit inside the capacities and sum to
+the excitation number (every row, for the composite basis), ordered
+descending-lexicographically.  That order puts the fully charged
+configuration first and makes matrix files reproducible byte for byte.
 
-Each basis turns its labels once into an integer occupation array (one
-row per label) and ranks every row by a mixed-radix key, base K+1 per
+Each basis holds its labels as an integer occupation array (one row per
+label) and ranks every row by a mixed-radix key, base K+1 per
 column.  A hop changes a key by a fixed stride, so the targets of a
 whole term class are found with one ``searchsorted`` over the sorted
 keys, whatever the label order; targets outside the basis (beyond a
@@ -44,7 +48,6 @@ is exact.  Any other config needs one register per spin.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +80,8 @@ class SectorBasis:
 
     ``n_excitations`` is the common excitation count of all labels, or
     ``None`` for a composite (multi-sector) basis used in conservation
-    checks.  Labels of N+M+1 columns hold one spin each, labels of 3
+    checks.  ``labels`` may be tuples or an integer array of one row per
+    label (an int64 array is kept, not copied).  Labels of N+M+1 columns hold one spin each, labels of 3
     columns one whole register each (see the module docstring).
     """
 
@@ -93,28 +97,28 @@ class SectorBasis:
         self.m_battery = int(m_battery)
         self.cutoff = int(cutoff)
         self.n_excitations = n_excitations
-        self.labels = tuple(labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != len(self.labels):
-            raise ValueError("duplicate labels in basis")
         n, m = self.n_charger, self.m_battery
-        width = len(self.labels[0]) if self.labels else n + m + 1
-        # _mode is the magnon column; registers sit before and after it
-        if width == n + m + 1:
-            self._mode, capacity = n, [1] * n + [self.cutoff] + [1] * m
-        elif width == 3:
-            self._mode, capacity = 1, [n, self.cutoff, m]
-        else:
+        occ = np.asarray(labels, dtype=np.int64)
+        width = occ.shape[1] if occ.ndim == 2 else n + m + 1
+        if width not in (n + m + 1, 3):
             raise ValueError(
                 f"labels have {width} columns; expected {n + m + 1} (one per spin) "
                 "or 3 (one per register)"
             )
+        per_spin = width == n + m + 1
+        occ = occ.reshape(len(occ), width)
+        self.labels = tuple(zip(*occ.T.tolist()))
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self.index) != len(self.labels):
+            raise ValueError("duplicate labels in basis")
+        # _mode is the magnon column; registers sit before and after it
+        self._mode = n if per_spin else 1
+        capacity = _capacity(n, m, self.cutoff, per_spin)
         self._capacity = np.array(capacity)
-        radix = [k + 1 for k in capacity]
-        occ = np.array(self.labels, dtype=np.int64).reshape(len(self.labels), len(radix))
         if np.any((occ < 0) | (occ > self._capacity)):
             raise ValueError("label outside the spin and magnon occupation ranges")
         self._occupations = occ
+        radix = [k + 1 for k in capacity]
         # keys beyond 63 bits (N + M above ~60 spins) stay exact as Python ints
         key_type = np.int64 if math.prod(radix) < 2**63 else object
         strides = [math.prod(radix[k + 1 :]) for k in range(len(radix))]
@@ -226,32 +230,49 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _battery_patterns(m_battery: int, count: int):
-    """Battery bit tuples with a fixed excitation count, descending lex order."""
-    for ones in itertools.combinations(range(m_battery), count):
-        bits = [0] * m_battery
-        for pos in ones:
-            bits[pos] = 1
-        yield tuple(bits)
+def _capacity(n_charger: int, m_battery: int, cutoff: int, per_spin: bool) -> list[int]:
+    """Capacity of each label column: one register per spin, or one per side."""
+    if per_spin:
+        return [1] * n_charger + [cutoff] + [1] * m_battery
+    return [n_charger, cutoff, m_battery]
 
 
-def _charger_patterns(n_charger: int, min_ones: int, max_ones: int) -> list[tuple[int, ...]]:
-    """Charger bit tuples with min_ones..max_ones ones, descending lex order.
+def _sector(
+    n_charger: int, m_battery: int, cutoff: int, n_excitations: int | None, per_spin: bool
+) -> SectorBasis:
+    """The labels that sum to n_excitations (every label if None), descending lex order.
 
-    Built one position at a time, 1 before 0; a prefix is extended only
-    while it can still end inside the range, so the walk never visits the
-    2^N patterns outside it.
+    The walk fills one column at a time, highest occupation first, and
+    keeps a prefix only while the columns after it can still bring its
+    sum into range, so it never visits a prefix that cannot complete.
+    Each step records the parent prefix of every new one; the rows are
+    read back from the last column.
     """
-    level = [((), 0)]
-    for pos in range(n_charger):
-        free = n_charger - pos - 1
-        level = [
-            (bits + (bit,), ones + bit)
-            for bits, ones in level
-            for bit in (1, 0)
-            if min_ones <= ones + bit + free and ones + bit <= max_ones
-        ]
-    return [bits for bits, _ in level]
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    if n_excitations is not None and n_excitations < 0:
+        raise ValueError("n_excitations must be non-negative")
+    capacity = _capacity(n_charger, m_battery, cutoff, per_spin)
+    room = sum(capacity)  # what the columns still to fill can hold
+    low, high = (0, room) if n_excitations is None else (n_excitations, n_excitations)
+    if low > room:
+        raise ValueError(f"empty sector: {low} excitations exceed capacity {room}")
+    used = np.zeros(1, dtype=np.int64)
+    steps = []
+    for k in capacity:
+        room -= k
+        values = np.arange(k, -1, -1)
+        reach = used[:, None] + values
+        parent, pick = np.nonzero((reach <= high) & (reach + room >= low))
+        used = reach[parent, pick]
+        steps.append((values[pick], parent))
+    occ = np.empty((len(used), len(capacity)), dtype=np.int64)
+    row = np.arange(len(used))
+    for col in range(len(capacity) - 1, -1, -1):
+        values, parent = steps.pop()  # freed as read
+        occ[:, col] = values[row]
+        row = parent[row]
+    return SectorBasis(n_charger, m_battery, cutoff, occ, n_excitations)
 
 
 def enumerate_sector_basis(
@@ -262,27 +283,7 @@ def enumerate_sector_basis(
     Raises if the sector is empty (more excitations than the registers
     and the magnon ladder can hold).
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    if n_excitations < 0:
-        raise ValueError("n_excitations must be non-negative")
-    if n_excitations > n_charger + m_battery + cutoff:
-        raise ValueError(
-            f"empty sector: {n_excitations} excitations exceed capacity "
-            f"{n_charger + m_battery + cutoff}"
-        )
-    labels = []
-    for c_bits in _charger_patterns(
-        n_charger, n_excitations - cutoff - m_battery, n_excitations
-    ):
-        remaining = n_excitations - sum(c_bits)
-        for n_magnon in range(min(cutoff, remaining), -1, -1):
-            b_count = remaining - n_magnon
-            if b_count > m_battery:
-                continue
-            for b_bits in _battery_patterns(m_battery, b_count):
-                labels.append(c_bits + (n_magnon,) + b_bits)
-    return SectorBasis(n_charger, m_battery, cutoff, tuple(labels), n_excitations)
+    return _sector(n_charger, m_battery, cutoff, n_excitations, per_spin=True)
 
 
 def _register_sector(
@@ -292,13 +293,7 @@ def _register_sector(
 
     One symmetric register per side, so at most (N+1)(M+1) labels.
     """
-    labels = tuple(
-        (n_c, n_m, n_excitations - n_c - n_m)
-        for n_c in range(min(n_charger, n_excitations), -1, -1)
-        for n_m in range(min(cutoff, n_excitations - n_c), -1, -1)
-        if n_excitations - n_c - n_m <= m_battery
-    )
-    return SectorBasis(n_charger, m_battery, cutoff, labels, n_excitations)
+    return _sector(n_charger, m_battery, cutoff, n_excitations, per_spin=False)
 
 
 def enumerate_composite_basis(n_charger: int, m_battery: int, cutoff: int) -> SectorBasis:
@@ -307,14 +302,7 @@ def enumerate_composite_basis(n_charger: int, m_battery: int, cutoff: int) -> Se
     Exponentially large in N+M; intended for conservation checks on
     small registers, not for production sweeps.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    labels = []
-    for c_bits in itertools.product((1, 0), repeat=n_charger):
-        for n_magnon in range(cutoff, -1, -1):
-            for b_bits in itertools.product((1, 0), repeat=m_battery):
-                labels.append(c_bits + (n_magnon,) + b_bits)
-    return SectorBasis(n_charger, m_battery, cutoff, tuple(labels), None)
+    return _sector(n_charger, m_battery, cutoff, None, per_spin=True)
 
 
 def _register_couplings(config: SystemConfig):
@@ -349,7 +337,8 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis):
         raise ValueError(
             f"config fock_cutoff {config.fock_cutoff} does not match basis cutoff {basis.cutoff}"
         )
-    if len(basis._capacity) == config.n_charger + config.m_battery + 1:
+    n, m = config.n_charger, config.m_battery
+    if basis._capacity.tolist() == _capacity(n, m, basis.cutoff, per_spin=True):
         return config.g_charger + config.g_battery, block_diag(config.j_charger, config.j_battery)
     registers = _register_couplings(config)
     if registers is None:

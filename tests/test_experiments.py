@@ -185,6 +185,16 @@ def test_bad_scalar_values():
     # the full-model sweep cap and its override key are gone
     with pytest.raises(ConfigError, match="allow_large: unknown key"):
         parse_config(MINIMAL.replace("samples = 51", "allow_large = true"))
+    # number lists are checked entry by entry, like scalars
+    sweep = "[run]\nmode = sweep-n\n\n[system]\ng_over_delta = 0.1\n\n[sweep]\n"
+    with pytest.raises(ConfigError, match=r"line 8: \[sweep\] ratios: .*must be finite"):
+        parse_config(sweep + "ratios = inf\n")
+    noise = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"
+    with pytest.raises(ConfigError, match=r"line 6: \[noise\] gamma_over_delta: .*must be finite"):
+        parse_config(noise + "gamma_over_delta = 0.0, nan\n")
+    compare = "[run]\nmode = compare\n\n[system]\ng_over_delta = 0.1\n\n[sweep]\n"
+    with pytest.raises(ConfigError, match=r"line 8: \[sweep\] j_values_over_delta: .*finite"):
+        parse_config(compare + "j_values_over_delta = 0.0, inf\n")
 
 
 def test_qsd_validation():
@@ -209,6 +219,8 @@ gamma_over_delta = 0.0, 0.02
     detuned = detuned.replace("gamma_over_delta = 0.0, 0.02\n", "")
     with pytest.raises(ConfigError, match="detuned"):
         parse_config(detuned)
+    with pytest.raises(ConfigError, match=r"line 8: \[noise\] gamma_over_delta: list is empty"):
+        parse_config(good.replace("0.0, 0.02", ""))
 
 
 def test_sweep_validation():
@@ -242,6 +254,8 @@ n_max = 12
     )
     with pytest.raises(ConfigError, match="not both"):
         parse_config(both)
+    with pytest.raises(ConfigError, match=r"line 8: \[sweep\] j_values_over_delta: list is empty"):
+        parse_config(both.replace("= 0.0\nj_values = 0.0\n", "=\n"))
 
 
 def test_uniform_couplings_required_for_reduced_modes():
@@ -532,6 +546,9 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
     assert main(["simulate-effective", "--config", str(cfg), "--tol", "-1"]) == 1
     assert "--tol" in capsys.readouterr().err
+    # like [run] tol, the command-line tolerance must be finite
+    assert main(["simulate-effective", "--config", str(cfg), "--tol", "inf"]) == 1
+    assert "--tol must be finite" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):

@@ -22,6 +22,7 @@ from magnon_battery import (
     magnon_occupation_operator,
     total_excitation_operator,
 )
+from magnon_battery.hilbert import _register_sector
 
 
 def test_single_excitation_chain():
@@ -64,18 +65,24 @@ def test_descending_lex_order():
 
 
 def test_sector_labels_match_product_enumeration():
-    # the charger walk is pruned by excitation count; the order must stay
-    # that of filtering the full (charger, magnon, battery) product
+    # the walk is pruned by excitation count; the order must stay that of
+    # filtering the full (charger, magnon, battery) product, per spin and
+    # per register, and the composite basis is the whole product
     for n, m, cutoff in itertools.product(range(1, 6), range(1, 5), range(4)):
-        sectors = {}
-        for c_bits in itertools.product((1, 0), repeat=n):
-            for n_magnon in range(cutoff, -1, -1):
-                for b_bits in itertools.product((1, 0), repeat=m):
-                    label = c_bits + (n_magnon,) + b_bits
-                    sectors.setdefault(sum(label), []).append(label)
-        assert sorted(sectors) == list(range(n + m + cutoff + 1))
-        for k, labels in sectors.items():
-            assert enumerate_sector_basis(n, m, cutoff, k).labels == tuple(labels)
+        spins = list(
+            itertools.product(*[(1, 0)] * n, range(cutoff, -1, -1), *[(1, 0)] * m)
+        )
+        registers = list(
+            itertools.product(range(n, -1, -1), range(cutoff, -1, -1), range(m, -1, -1))
+        )
+        assert enumerate_composite_basis(n, m, cutoff).labels == tuple(spins)
+        for k in range(n + m + cutoff + 1):
+            assert enumerate_sector_basis(n, m, cutoff, k).labels == tuple(
+                label for label in spins if sum(label) == k
+            )
+            assert _register_sector(n, m, cutoff, k).labels == tuple(
+                label for label in registers if sum(label) == k
+            )
 
 
 def test_sparse_sector_of_a_long_charger():
@@ -93,6 +100,13 @@ def test_empty_sector_rejected():
         enumerate_sector_basis(1, 1, 1, 4)
     with pytest.raises(ValueError, match="cutoff"):
         enumerate_sector_basis(1, 1, -1, 0)
+    # the register sector shares the per-spin validation
+    with pytest.raises(ValueError, match="empty sector"):
+        _register_sector(1, 2, 0, 5)
+    with pytest.raises(ValueError, match="cutoff"):
+        _register_sector(2, 2, -1, 1)
+    with pytest.raises(ValueError, match="n_excitations"):
+        _register_sector(2, 2, 1, -1)
 
 
 def test_split_roundtrip():
