@@ -15,6 +15,16 @@ identical config text produces byte-identical CSV.
 Energy columns are reported in units of the spin splitting; power in
 units of (splitting x induced coupling magnitude); sweep times in units
 of the inverse induced coupling.
+
+Every mode is one row of the table ``_MODES``: its runner, its model (a
+trajectory mode) or default models (a sweep or compare), and whether it
+needs couplings uniform over every spin.  ``parse_config`` resolves
+``models`` from it once.  A runner returns the CSV columns and a list of
+blocks; a block is a tuple of cells, a str cell repeating down the block
+and an array cell giving one float per row.  ``_csv_rows`` alone formats
+floats, as the repr of a Python float.  The collective model has no J:
+it is the model at the sweet spot J = -G, so a sweep or compare point
+that gives it another J is rejected.
 """
 
 from __future__ import annotations
@@ -56,18 +66,6 @@ try:
     TOOL_VERSION = metadata.version("magnon-battery")
 except metadata.PackageNotFoundError:  # running from a bare checkout
     TOOL_VERSION = "0.0.0"
-
-MODES = (
-    "simulate-full",
-    "simulate-effective",
-    "collective",
-    "analytic",
-    "qsd",
-    "sweep-n",
-    "sweep-nm",
-    "sweep-j",
-    "compare",
-)
 
 _KNOWN_KEYS = {
     "run": {
@@ -144,7 +142,7 @@ class ExperimentSpec:
     out: str | None
     threads: int
     tol: float
-    models: tuple[str, ...] | None
+    models: tuple[str, ...]
     exchanges: tuple[str, ...]
     j_values: tuple[float, ...] | None
     n_range: tuple[int, int]
@@ -392,6 +390,8 @@ class _Section:
             matrix = [[float(x) for x in row.replace(",", " ").split()] for row in rows]
         except ValueError:
             self.fail(key, f"cannot parse {raw!r} as a matrix (rows split by ';')")
+        if not all(math.isfinite(x) for row in matrix for x in row):
+            self.fail(key, "entries must be finite")
         widths = {len(row) for row in matrix}
         if len(matrix) != size or widths != {size}:
             got = f"{len(matrix)}x{sorted(widths)}"
@@ -523,7 +523,7 @@ def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]
         gammas = tuple(x * delta for x in gammas)
     else:
         g = section.get_float("g", None, nonzero=True)
-        omega = section.get_float("omega", None)
+        omega = section.get_float("omega", None, nonzero=True)
         omega_m = section.get_float("omega_m", None)
         if g is None or omega is None or omega_m is None:
             section.missing("raw-frequency configs require g, omega and omega_m")
@@ -567,6 +567,9 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
 
     sweep = sections["sweep"]
     models = sweep.get_str_list("models", {"full", "effective", "collective", "analytic"}, None)
+    runner, default_models, _ = _MODES[mode]
+    # only the sweeps and compare take [sweep] models; the other modes run the table's
+    models = (models or default_models) if runner in (_run_sweep, _run_compare) else default_models
     exchanges = sweep.get_str_list("exchange", {"zero", "sweet"}, ("sweet",))
     n_min = sweep.get_int("n_min", 1, minimum=1)
     n_max = sweep.get_int("n_max", 10, minimum=1)
@@ -608,34 +611,30 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
 
 
 def _validate_mode(spec: ExperimentSpec) -> None:
-    needs_system = spec.mode not in ("qsd",)
-    if needs_system and spec.system is None:
-        raise ConfigError(f"mode {spec.mode!r} requires a [system] section")
     if spec.mode == "qsd":
         if spec.noise is None:
             raise ConfigError("mode 'qsd' requires a [noise] section")
         if spec.noise.delta == 0.0:
             raise ConfigError("[noise]: the mode must be detuned (omega_m != omega)")
-    if spec.mode in ("sweep-n", "sweep-nm", "sweep-j", "compare", "collective", "analytic"):
-        if spec.system is not None and not spec.system.is_uniform():
-            raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
+        return
+    system = spec.system
+    if system is None:
+        raise ConfigError(f"mode {spec.mode!r} requires a [system] section")
+    if _MODES[spec.mode][2] and not system.is_uniform():
+        raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
     if spec.mode == "sweep-j" and spec.j_values is None:
         raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
-    if spec.mode in ("sweep-n", "sweep-nm"):
-        models = spec.models or _default_models(spec.mode)
-        if "collective" in models and spec.exchanges != ("sweet",):
-            raise ConfigError(
-                "[sweep]: the collective model is derived at the sweet spot; exchange must be 'sweet'"
-            )
-
-
-def _default_models(mode: str) -> tuple[str, ...]:
-    return {
-        "sweep-n": ("effective",),
-        "sweep-nm": ("collective",),
-        "sweep-j": ("effective",),
-        "compare": ("full", "effective"),
-    }[mode]
+    # the collective model takes no J: it is the model at the sweet spot J = -G
+    # (the collective mode prints no J, so only labelled points are checked)
+    if spec.mode != "collective" and "collective" in spec.models:
+        induced = _induced(system)
+        for j in _exchange_values(spec):
+            if not _at_sweet_spot(j, induced):
+                raise ConfigError(
+                    "[sweep]: the collective model is derived at the sweet spot "
+                    f"J/delta = {-induced / system.detuning!r} (exchange = sweet); "
+                    f"got J/delta = {j / system.detuning!r}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +649,31 @@ def _coupling_scale(config: SystemConfig) -> float:
     return float(np.abs(couplings.charger_battery).max())
 
 
+def _induced(config: SystemConfig) -> float:
+    """The induced coupling G of a uniform config."""
+    return config.g_charger[0] * config.g_battery[0] / (config.omega - config.omega_m)
+
+
+def _at_sweet_spot(j: float, g: float) -> bool:
+    return abs(j + g) <= abs(g) * 1e-9
+
+
 def _uniform_j(config: SystemConfig) -> float:
     if config.n_charger >= 2:
         return float(config.j_charger[0, 1])
     if config.m_battery >= 2:
         return float(config.j_battery[0, 1])
     return 0.0
+
+
+def _exchange_values(spec: ExperimentSpec) -> tuple[float, ...]:
+    """J of each exchange setting a sweep or compare asks for, in grid order."""
+    if spec.mode in ("sweep-n", "sweep-nm"):
+        sweet = -_induced(spec.system)
+        return tuple(0.0 if name == "zero" else sweet for name in spec.exchanges)
+    if spec.j_values is not None:
+        return spec.j_values
+    return (_uniform_j(spec.system),)
 
 
 def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -666,20 +684,19 @@ def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     n, m = config.n_charger, config.m_battery
     j_c = float(config.j_charger[0, 1]) if n >= 2 else 0.0
     j_b = float(config.j_battery[0, 1]) if m >= 2 else 0.0
-    sweet = abs(g) * 1e-9
 
     if (n, m) == (1, 1):
         return e_one_one(g, times)
     if (n, m) == (2, 1):
         return e_two_one(g, j_c, times)
     if m == 1:
-        if abs(j_c + g) > sweet:
+        if not _at_sweet_spot(j_c, g):
             raise ConfigError(
                 f"no closed form for n_charger={n} away from the sweet spot (need exchange = {-g!r})"
             )
         return e_n_one(g, n, times)
     if (n, m) == (2, 2):
-        if abs(j_c + g) > sweet or abs(j_b + g) > sweet:
+        if not (_at_sweet_spot(j_c, g) and _at_sweet_spot(j_b, g)):
             raise ConfigError(
                 f"the two-to-two closed form needs both registers at the sweet spot (exchange = {-g!r})"
             )
@@ -715,11 +732,28 @@ def _trajectory(model: str, config: SystemConfig, times: np.ndarray, tol: float)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each returns (columns, blocks) for _csv_rows
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv_rows(blocks) -> list[str]:
+    """CSV rows of blocks of cells, floats in shortest round-trip form.
+
+    A str cell repeats down its block; any other cell is an array of one
+    value per row (a float, for a one-row block).
+    """
+    rows = []
+    for block in blocks:
+        height = max(np.size(cell) for cell in block if not isinstance(cell, str))
+        columns = [
+            [cell] * height if isinstance(cell, str) else map(repr, np.asarray(cell, float).ravel().tolist())
+            for cell in block
+        ]
+        rows.extend(map(",".join, zip(*columns, strict=True)))
+    return rows
 
 
 def _map_ordered(fn, items, threads: int) -> list:
@@ -742,49 +776,31 @@ def _system_horizon(spec: ExperimentSpec, config: SystemConfig) -> float:
     )
 
 
-def _run_trajectory_mode(spec: ExperimentSpec) -> tuple[list[str], list[str]]:
-    model = {
-        "simulate-full": "full",
-        "simulate-effective": "effective",
-        "collective": "collective",
-        "analytic": "analytic",
-    }[spec.mode]
+def _run_trajectory(spec: ExperimentSpec):
     config = spec.system
     times = _time_grid(spec, _system_horizon(spec, config))
-    traj = _trajectory(model, config, times, spec.tol)
-    scale = _coupling_scale(config)
+    traj = _trajectory(spec.models[0], config, times, spec.tol)
     magnon = traj.magnon if traj.magnon is not None else np.zeros_like(traj.energy)
-    rows = [
-        ",".join((_fmt(t), _fmt(e), _fmt(p / scale), _fmt(nrm), _fmt(nm)))
-        for t, e, p, nrm, nm in zip(traj.times, traj.energy, traj.power, traj.norm, magnon)
-    ]
-    return ["t", "E_over_omega", "P_over_Gomega", "norm", "n_magnon"], rows
+    block = (traj.times, traj.energy, traj.power / _coupling_scale(config), traj.norm, magnon)
+    return ["t", "E_over_omega", "P_over_Gomega", "norm", "n_magnon"], [block]
 
 
-def _run_compare(spec: ExperimentSpec) -> tuple[list[str], list[str]]:
+def _run_compare(spec: ExperimentSpec):
     base = spec.system
-    models = spec.models or _default_models("compare")
-    j_values = spec.j_values if spec.j_values is not None else (_uniform_j(base),)
-    delta = base.detuning
     scale = _coupling_scale(base)
     times = _time_grid(spec, _system_horizon(spec, base))
-    points = [(model, j) for model in models for j in j_values]
+    points = [(model, j) for model in spec.models for j in _exchange_values(spec)]
 
     def one(point):
         model, j = point
-        config = replace(base, j_charger=j, j_battery=j)
-        traj = _trajectory(model, config, times, spec.tol)
-        j_tag = _fmt(j / delta)
-        return [
-            ",".join((model, j_tag, _fmt(t), _fmt(e), _fmt(p / scale)))
-            for t, e, p in zip(traj.times, traj.energy, traj.power)
-        ]
+        traj = _trajectory(model, replace(base, j_charger=j, j_battery=j), times, spec.tol)
+        return (model, _fmt(j / base.detuning), traj.times, traj.energy, traj.power / scale)
+
     blocks = _map_ordered(one, points, spec.threads)
-    rows = [row for block in blocks for row in block]
-    return ["model", "j_over_delta", "t", "E_over_omega", "P_over_Gomega"], rows
+    return ["model", "j_over_delta", "t", "E_over_omega", "P_over_Gomega"], blocks
 
 
-def _run_qsd(spec: ExperimentSpec) -> tuple[list[str], list[str]]:
+def _run_qsd(spec: ExperimentSpec):
     template = spec.noise
     horizon = spec.horizon
     if horizon is None:
@@ -796,78 +812,55 @@ def _run_qsd(spec: ExperimentSpec) -> tuple[list[str], list[str]]:
         return solve_calF(replace(template, gamma_noise=gamma), times, spec.tol)
 
     solutions = _map_ordered(one, spec.gammas, spec.threads)
-    multi = len(spec.gammas) > 1
     columns = ["t", "Re_F", "Im_F", "E_over_omega"]
-    if multi:
+    blocks = [(f.times, f.calf.real, f.calf.imag, f.energy / template.omega) for f in solutions]
+    if len(spec.gammas) > 1:
         columns = ["gamma_over_delta"] + columns
-    rows = []
-    for gamma, fsol in zip(spec.gammas, solutions):
-        tag = _fmt(gamma / template.delta)
-        for t, f, e in zip(fsol.times, fsol.calf, fsol.energy):
-            cells = (_fmt(t), _fmt(f.real), _fmt(f.imag), _fmt(e / template.omega))
-            rows.append(",".join((tag,) + cells if multi else cells))
-    return columns, rows
+        blocks = [(_fmt(gamma / template.delta),) + b for gamma, b in zip(spec.gammas, blocks)]
+    return columns, blocks
 
 
-def _sweep_points(spec: ExperimentSpec):
-    """Deterministic grid order: model, then exchange/ratio/j, then size."""
+def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, int, int, float]]:
+    """(model, N, M, J) in deterministic grid order: model, then J, then size."""
     base = spec.system
-    models = spec.models or _default_models(spec.mode)
     if spec.mode == "sweep-n":
-        n_min, n_max = spec.n_range
-        for model in models:
-            for exchange in spec.exchanges:
-                for n in range(n_min, n_max + 1):
-                    yield model, n, base.m_battery, exchange
+        sizes = [(n, base.m_battery) for n in range(spec.n_range[0], spec.n_range[1] + 1)]
     elif spec.mode == "sweep-nm":
-        for model in models:
-            for ratio in spec.ratios:
-                for m in range(1, spec.m_max + 1):
-                    yield model, ratio * m, m, "sweet"
-    elif spec.mode == "sweep-j":
-        for model in models:
-            for j in spec.j_values:
-                yield model, base.n_charger, base.m_battery, j
+        sizes = [(ratio * m, m) for ratio in spec.ratios for m in range(1, spec.m_max + 1)]
+    else:
+        sizes = [(base.n_charger, base.m_battery)]
+    exchanges = (-_induced(base),) if spec.mode == "sweep-nm" else _exchange_values(spec)
+    return [(model, n, m, j) for model in spec.models for j in exchanges for n, m in sizes]
 
 
 def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:
     """Charging metrics over the sweep grid, in deterministic grid order."""
     base = spec.system
-    g_c = base.g_charger[0]
-    g_b = base.g_battery[0]
-    delta = base.detuning
-    induced = g_c * g_b / (base.omega - base.omega_m)
+    induced = _induced(base)
+    scale = abs(induced)
 
     def one(point):
-        model, n, m, exchange = point
-        if exchange == "zero":
-            j = 0.0
-        elif exchange == "sweet":
-            j = -induced
-        else:
-            j = float(exchange)
+        model, n, m, j = point
         config = SystemConfig(
             n_charger=n,
             m_battery=m,
             omega=base.omega,
             omega_m=base.omega_m,
-            g_charger=g_c,
-            g_battery=g_b,
+            g_charger=base.g_charger[0],
+            g_battery=base.g_battery[0],
             j_charger=j,
             j_battery=j,
         )
         horizon = spec.horizon
         if horizon is None:
             horizon = charging_horizon(n, m, induced, factor=spec.horizon_factor)
-        times = _time_grid(spec, horizon)
-        traj = _trajectory(model, config, times, spec.tol)
+        traj = _trajectory(model, config, _time_grid(spec, horizon), spec.tol)
         metrics = charging_metrics(traj)
-        scale = abs(induced)
         return SweepRow(
             model=model,
             n_charger=n,
             m_battery=m,
-            j_over_delta=j / delta,
+            j_over_delta=j / base.detuning,
             e_max=metrics.e_max,
             tau=metrics.tau * scale,
             p_tau=metrics.p_tau / scale,
@@ -877,47 +870,37 @@ def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:
     return _map_ordered(one, _sweep_points(spec), spec.threads)
 
 
-def _run_sweep(spec: ExperimentSpec) -> tuple[list[str], list[str]]:
-    rows = [
-        ",".join(
-            (
-                row.model,
-                str(row.n_charger),
-                str(row.m_battery),
-                _fmt(row.j_over_delta),
-                _fmt(row.e_max),
-                _fmt(row.tau),
-                _fmt(row.p_tau),
-                _fmt(row.p_max),
-            )
-        )
-        for row in sweep_metrics(spec)
+def _run_sweep(spec: ExperimentSpec):
+    blocks = [
+        (r.model, str(r.n_charger), str(r.m_battery), r.j_over_delta, r.e_max, r.tau, r.p_tau, r.p_max)
+        for r in sweep_metrics(spec)
     ]
     columns = [
-        "model",
-        "N",
-        "M",
-        "J_over_delta",
-        "E_max_over_omega",
-        "tau_G",
-        "P_tau_over_Gomega",
-        "P_max_over_Gomega",
+        "model", "N", "M", "J_over_delta", "E_max_over_omega", "tau_G", "P_tau_over_Gomega", "P_max_over_Gomega"
     ]
-    return columns, rows
+    return columns, blocks
+
+
+# mode -> (runner, its model or default models, needs uniform couplings)
+_MODES = {
+    "simulate-full": (_run_trajectory, ("full",), False),
+    "simulate-effective": (_run_trajectory, ("effective",), False),
+    "collective": (_run_trajectory, ("collective",), True),
+    "analytic": (_run_trajectory, ("analytic",), True),
+    "qsd": (_run_qsd, (), False),
+    "sweep-n": (_run_sweep, ("effective",), True),
+    "sweep-nm": (_run_sweep, ("collective",), True),
+    "sweep-j": (_run_sweep, ("effective",), True),
+    "compare": (_run_compare, ("full", "effective"), True),
+}
+MODES = tuple(_MODES)
 
 
 def run_experiment(spec: ExperimentSpec, out: str | None = None) -> str:
     """Run the experiment and return the CSV text (writing it if out is set)."""
-    if spec.mode in ("simulate-full", "simulate-effective", "collective", "analytic"):
-        columns, rows = _run_trajectory_mode(spec)
-    elif spec.mode == "compare":
-        columns, rows = _run_compare(spec)
-    elif spec.mode == "qsd":
-        columns, rows = _run_qsd(spec)
-    elif spec.mode in ("sweep-n", "sweep-nm", "sweep-j"):
-        columns, rows = _run_sweep(spec)
-    else:
+    if spec.mode not in _MODES:
         raise ConfigError(f"unknown mode {spec.mode!r}")
+    columns, blocks = _MODES[spec.mode][0](spec)
 
     buffer = io.StringIO()
     buffer.write(f"# magnon-battery {TOOL_VERSION}\n")
@@ -926,7 +909,7 @@ def run_experiment(spec: ExperimentSpec, out: str | None = None) -> str:
     for line in spec.text.rstrip("\n").splitlines():
         buffer.write(f"# {line}\n" if line else "#\n")
     buffer.write(",".join(columns) + "\n")
-    for row in rows:
+    for row in _csv_rows(blocks):
         buffer.write(row + "\n")
     text = buffer.getvalue()
 

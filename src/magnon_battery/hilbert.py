@@ -81,8 +81,10 @@ class SectorBasis:
     ``n_excitations`` is the common excitation count of all labels, or
     ``None`` for a composite (multi-sector) basis used in conservation
     checks.  ``labels`` may be tuples or an integer array of one row per
-    label (an int64 array is kept, not copied).  Labels of N+M+1 columns hold one spin each, labels of 3
-    columns one whole register each (see the module docstring).
+    label (an int64 array is kept, not copied).  Labels of N+M+1 columns
+    hold one spin each, labels of 3 columns one whole register each (see
+    the module docstring).  Only the array and its keys are stored: the
+    ``labels`` tuples are rebuilt on each read, and lookups go by key.
     """
 
     def __init__(
@@ -107,10 +109,6 @@ class SectorBasis:
             )
         per_spin = width == n + m + 1
         occ = occ.reshape(len(occ), width)
-        self.labels = tuple(zip(*occ.T.tolist()))
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != len(self.labels):
-            raise ValueError("duplicate labels in basis")
         # _mode is the magnon column; registers sit before and after it
         self._mode = n if per_spin else 1
         capacity = _capacity(n, m, self.cutoff, per_spin)
@@ -126,10 +124,18 @@ class SectorBasis:
         self._keys = occ @ self._strides
         self._order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._order]
+        # in range, equal keys mean equal labels
+        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
+            raise ValueError("duplicate labels in basis")
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        """The occupation tuples, in basis order (built on each call)."""
+        return tuple(zip(*self._occupations.T.tolist()))
 
     @property
     def dimension(self) -> int:
-        return len(self.labels)
+        return len(self._occupations)
 
     def split(self, label: Label) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
         """Split a label into (charger registers, magnon number, battery registers)."""
@@ -143,11 +149,20 @@ class SectorBasis:
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """Basis positions of the labels with these keys, -1 where absent."""
-        at = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self.labels) - 1)
+        at = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
         return np.where(self._sorted_keys[at] == keys, self._order[at], -1)
 
+    def _position(self, label) -> int:
+        """Basis position of one label, -1 where absent."""
+        row = np.asarray(label)
+        if row.shape != self._capacity.shape or not len(self):
+            return -1
+        pos = int(self._positions(row @ self._strides))
+        # a digit out of range can alias the key of another label
+        return pos if pos >= 0 and np.array_equal(self._occupations[pos], row) else -1
+
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self._occupations)
 
     def __repr__(self) -> str:
         sector = "all" if self.n_excitations is None else self.n_excitations
@@ -464,10 +479,9 @@ def total_excitation_operator(basis: SectorBasis) -> HamiltonianMatrix:
 
 def basis_state(basis: SectorBasis, label: Label) -> StateVector:
     """Unit amplitude on one occupation tuple."""
-    try:
-        pos = basis.index[tuple(label)]
-    except KeyError:
-        raise ValueError(f"label {tuple(label)} is not in the basis") from None
+    pos = basis._position(label)
+    if pos < 0:
+        raise ValueError(f"label {tuple(label)} is not in the basis")
     amps = np.zeros(basis.dimension, dtype=complex)
     amps[pos] = 1.0
     return StateVector(amps, basis)
@@ -477,7 +491,7 @@ def charged_initial_state(basis: SectorBasis) -> StateVector:
     """Charger registers filled to capacity, magnon vacuum, battery empty."""
     k = basis._mode
     label = tuple(basis._capacity[:k].tolist()) + (0,) * (len(basis._capacity) - k)
-    if label not in basis.index:
+    if basis._position(label) < 0:
         raise ValueError(
             "fully charged configuration is outside this basis; it requires "
             f"n_excitations={basis.n_charger}"

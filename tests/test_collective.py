@@ -76,9 +76,7 @@ def test_collective_charged_state():
 def test_dicke_embed_binomial_weights():
     # two charger excitations out of three spread over C(3,2)=3 strings
     basis = build_collective_hamiltonian(0.01, 3, 1).basis
-    amps = np.zeros(basis.dimension, dtype=complex)
-    amps[basis.index[(2, 0, 1)]] = 1.0
-    embedded = dicke_embed(StateVector(amps, basis))
+    embedded = dicke_embed(basis_state(basis, (2, 0, 1)))
     assert embedded.basis.n_excitations == 3
     nonzero = {
         label: amp

@@ -23,6 +23,8 @@ from magnon_battery import (
 from magnon_battery import experiments
 from magnon_battery.cli import main
 
+SWEEP_HEADER = "model,N,M,J_over_delta,E_max_over_omega,tau_G,P_tau_over_Gomega,P_max_over_Gomega"
+
 MINIMAL = """\
 [run]
 mode = simulate-effective
@@ -195,6 +197,10 @@ def test_bad_scalar_values():
     compare = "[run]\nmode = compare\n\n[system]\ng_over_delta = 0.1\n\n[sweep]\n"
     with pytest.raises(ConfigError, match=r"line 8: \[sweep\] j_values_over_delta: .*finite"):
         parse_config(compare + "j_values_over_delta = 0.0, inf\n")
+    # matrix entries too, with the key's line
+    matrix = MINIMAL.replace("n_charger = 1", "n_charger = 2") + "j_charger_over_delta = 0 inf; inf 0\n"
+    with pytest.raises(ConfigError, match=r"line 9: \[system\] j_charger_over_delta: entries must be finite"):
+        parse_config(matrix)
 
 
 def test_qsd_validation():
@@ -221,6 +227,10 @@ gamma_over_delta = 0.0, 0.02
         parse_config(detuned)
     with pytest.raises(ConfigError, match=r"line 8: \[noise\] gamma_over_delta: list is empty"):
         parse_config(good.replace("0.0, 0.02", ""))
+    # a zero spin splitting is rejected in [noise] as in [system]
+    flat = detuned.replace("omega = 5.0\nomega_m = 5.0", "omega = 0.0\nomega_m = 1.0")
+    with pytest.raises(ConfigError, match=r"line 8: \[noise\] omega: must be nonzero"):
+        parse_config(flat)
 
 
 def test_sweep_validation():
@@ -256,6 +266,29 @@ n_max = 12
         parse_config(both)
     with pytest.raises(ConfigError, match=r"line 8: \[sweep\] j_values_over_delta: list is empty"):
         parse_config(both.replace("= 0.0\nj_values = 0.0\n", "=\n"))
+    # the collective model exists only at the sweet spot J = -G (J/delta = 0.01 here)
+    sweep_j = (
+        "[run]\nmode = sweep-j\n\n[system]\nn_charger = 3\nm_battery = 2\ng_over_delta = 0.1\n\n"
+        "[sweep]\nmodels = effective, collective\nj_values_over_delta = 0.0, -0.01, 0.02\n"
+    )
+    compare = (
+        "[run]\nmode = compare\n\n[system]\nn_charger = 2\nm_battery = 2\ng_over_delta = 0.1\n\n"
+        "[sweep]\nmodels = collective\nj_values_over_delta = 0.0, 0.05\n"
+    )
+    away = (
+        sweep_j,
+        sweep_j.replace("0.0, -0.01, 0.02", "0.01, 0.02"),
+        compare,
+        compare.replace("0.0, 0.05", "0.01, 0.05"),
+        compare.replace("j_values_over_delta = 0.0, 0.05\n", ""),  # J from [system]: 0
+    )
+    for text in away:
+        with pytest.raises(ConfigError, match="collective model is derived at the sweet spot"):
+            parse_config(text)
+    parse_config(sweep_j.replace("0.0, -0.01, 0.02", "0.01"))
+    parse_config(compare.replace("0.0, 0.05", "0.01"))
+    parse_config(compare.replace("j_values_over_delta = 0.0, 0.05\n", "").replace(
+        "g_over_delta = 0.1\n", "g_over_delta = 0.1\nj_over_delta = 0.01\n"))
 
 
 def test_uniform_couplings_required_for_reduced_modes():
@@ -273,6 +306,38 @@ g_battery_over_delta = 0.1
     with pytest.raises(ConfigError, match="uniform"):
         parse_config(text)
     parse_config(text.replace("mode = analytic", "mode = simulate-full"))
+
+
+_SYSTEM = "[system]\nn_charger = 2\nm_battery = 1\ng_over_delta = 0.1\n"
+
+# mode -> (config body, CSV header, data rows)
+_MODE_RUNS = {
+    # [sweep] models is ignored: simulate-full runs the full model
+    "simulate-full": (_SYSTEM + "\n[sweep]\nmodels = effective\n", "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
+    "simulate-effective": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
+    "collective": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
+    "analytic": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
+    "qsd": ("[noise]\ng_over_delta = 0.1\n", "t,Re_F,Im_F,E_over_omega", 21),
+    "sweep-n": (_SYSTEM + "\n[sweep]\nn_max = 2\n", SWEEP_HEADER, 2),
+    "sweep-nm": (_SYSTEM + "\n[sweep]\nratios = 1\nm_max = 1\n", SWEEP_HEADER, 1),
+    "sweep-j": (
+        _SYSTEM + "\n[sweep]\nmodels = effective, collective\nj_values_over_delta = 0.01\n",
+        SWEEP_HEADER,
+        2,
+    ),
+    "compare": (_SYSTEM, "model,j_over_delta,t,E_over_omega,P_over_Gomega", 42),
+}
+
+
+@pytest.mark.parametrize("mode", experiments.MODES)
+def test_every_mode_runs_end_to_end(mode):
+    body, header, n_rows = _MODE_RUNS[mode]
+    text = f"[run]\nmode = {mode}\nsamples = 21\nhorizon = 50.0\n\n{body}"
+    lines = [line for line in run_experiment(parse_config(text)).splitlines() if not line.startswith("#")]
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    if mode == "simulate-full":
+        assert max(float(line.split(",")[4]) for line in lines[1:]) > 1e-4
 
 
 def test_trajectory_csv_schema():
@@ -466,7 +531,7 @@ n_max = 3
         assert by_key[(n, 0.01)].tau == pytest.approx(math.pi / (2 * math.sqrt(n)), abs=1e-4)
     csv = run_experiment(spec)
     lines = [line for line in csv.splitlines() if not line.startswith("#")]
-    assert lines[0] == "model,N,M,J_over_delta,E_max_over_omega,tau_G,P_tau_over_Gomega,P_max_over_Gomega"
+    assert lines[0] == SWEEP_HEADER
     assert len(lines) == 1 + len(rows)
 
 

@@ -37,7 +37,7 @@ def test_two_excitations_with_cutoff():
     assert all(sum(lab) == 2 for lab in basis.labels)
     assert len(set(basis.labels)) == 7
     # the magnon slot actually reaches the cutoff
-    assert (0, 0, 2, 0) in basis.index
+    assert (0, 0, 2, 0) in basis.labels
 
 
 def test_vacuum_sector():
@@ -139,9 +139,9 @@ def test_bosonic_enhancement():
     cfg = SystemConfig.uniform(2, 1, g=0.5, omega=1.0, omega_m=3.0)
     basis = enumerate_sector_basis(2, 1, 2, 2)
     h = build_full_hamiltonian(cfg, basis)
-    p = basis.index[(1, 0, 1, 0)]
-    q = basis.index[(0, 0, 2, 0)]
-    assert h.matrix[q, p] == pytest.approx(0.5 * math.sqrt(2))
+    p = basis_state(basis, (1, 0, 1, 0)).amplitudes
+    q = basis_state(basis, (0, 0, 2, 0)).amplitudes
+    assert np.vdot(q, h.matrix @ p) == pytest.approx(0.5 * math.sqrt(2))
 
 
 def test_intra_register_exchange_terms():
@@ -151,10 +151,10 @@ def test_intra_register_exchange_terms():
     )
     basis = enumerate_sector_basis(2, 1, 1, 1)
     h = build_full_hamiltonian(cfg, basis)
-    p = basis.index[(1, 0, 0, 0)]
-    q = basis.index[(0, 1, 0, 0)]
-    assert h.matrix[q, p] == pytest.approx(0.25)
-    assert h.matrix[p, q] == pytest.approx(0.25)
+    p = basis_state(basis, (1, 0, 0, 0)).amplitudes
+    q = basis_state(basis, (0, 1, 0, 0)).amplitudes
+    assert np.vdot(q, h.matrix @ p) == pytest.approx(0.25)
+    assert np.vdot(p, h.matrix @ q) == pytest.approx(0.25)
 
 
 def test_hamiltonian_requires_hermitian():
@@ -227,12 +227,16 @@ def test_basis_state_and_charged_state():
     basis = enumerate_sector_basis(2, 1, 2, 2)
     psi = basis_state(basis, (0, 1, 0, 1))
     assert psi.norm() == 1.0
-    assert psi.amplitudes[basis.index[(0, 1, 0, 1)]] == 1.0
+    assert psi.amplitudes[basis.labels.index((0, 1, 0, 1))] == 1.0
     charged = charged_initial_state(basis)
     # descending-lex order puts the fully charged string first
     assert charged.amplitudes[0] == 1.0
     with pytest.raises(ValueError, match="not in the basis"):
         basis_state(basis, (1, 1, 1, 1))
+    # (0, 0, 1, 2) is out of range and has the key of (0, 0, 2, 0), which is in the basis
+    for label in ((0, 0, 1, 2), (1, 1), (0, 0, -1, 3)):
+        with pytest.raises(ValueError, match="not in the basis"):
+            basis_state(basis, label)
     wrong_sector = enumerate_sector_basis(2, 1, 2, 1)
     with pytest.raises(ValueError, match="n_excitations=2"):
         charged_initial_state(wrong_sector)
@@ -283,3 +287,13 @@ def test_labels_outside_occupation_ranges_rejected():
         SectorBasis(1, 1, 1, ((0, 2, 0),), None)
     with pytest.raises(ValueError, match="occupation ranges"):
         SectorBasis(1, 1, 1, ((2, 0, 0),), None)
+
+
+def test_duplicate_labels_rejected():
+    with pytest.raises(ValueError, match="duplicate labels in basis"):
+        SectorBasis(2, 1, 1, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)), 1)
+    with pytest.raises(ValueError, match="duplicate labels in basis"):
+        SectorBasis(2, 1, 1, ((1, 0, 0), (1, 0, 0)), 1)
+    # (0, 2, 0) has the key of (1, 0, 0); the range check names it first
+    with pytest.raises(ValueError, match="occupation ranges"):
+        SectorBasis(1, 1, 1, ((1, 0, 0), (0, 2, 0)), None)
