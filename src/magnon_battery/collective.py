@@ -1,15 +1,22 @@
 """Collective angular-momentum picture of the sweet-spot dynamics.
 
-At the sweet spot the effective Hamiltonian depends on the spins only
-through the register raising and lowering sums, so a register of N
-spins behaves as one angular momentum j = N/2 and the fully charged
-initial state lives in the maximal-j (symmetric) irrep.  That irrep is
-a register of capacity K = N in a ``SectorBasis`` of 3-column labels
-``(n_C, 0, n_B)``, and the model is the effective model on it: the one
+For a config uniform within each register, a register of N spins
+behaves as one angular momentum j = N/2 and the fully charged initial
+state lives in the maximal-j (symmetric) irrep.  That irrep is a
+register of capacity K = N in a ``SectorBasis`` of 3-column labels
+``(n_C, 0, n_B)``.  The collective model is the effective model on
+those registers, at any J: ``build_effective_hamiltonian(config,
+basis)`` builds it, and the experiment modes run it that way.  The
+conserved n_C + n_B = N cuts the problem down to min(N, M)+1 states,
+which is what makes large-register sweeps cheap.
+
+``build_collective_hamiltonian`` is the sweet-spot reference: at
+J = -G the intra-register terms cancel and the model is the bare
+flip-flop G (J-_C J+_B + J+_C J-_B), built here from G alone.  The one
 assembler puts the ladder factors sqrt(n(K-n+1)) and sqrt((n+1)(K-n))
-on each charger-battery hop.  The conserved n_C + n_B = N cuts the
-problem down to min(N, M)+1 states, which is what makes large-register
-sweeps cheap.
+on each charger-battery hop.  Tests and acceptance checks compare the
+register models against it and against ``dicke_embed``, which expands
+register amplitudes over the per-spin states.
 
 Only the symmetric sector is represented here; the model never leaves
 it when started from a symmetric product state.

@@ -156,13 +156,27 @@ class SystemConfig:
             fock_cutoff=fock_cutoff,
         )
 
+    def _registers(self):
+        """((g_C, J_C), (g_B, J_B)) if each register is uniform, else None.
+
+        Uniform means every spin of the register has exactly the same g
+        and every pair of it exactly the same J; then the register keeps
+        to its symmetric irrep.  A single spin has no pair; its J is
+        reported as 0.  This is the one uniformity rule of the package.
+        """
+        registers = []
+        for g, j in ((self.g_charger, self.j_charger), (self.g_battery, self.j_battery)):
+            pairs = set(j[np.triu_indices(len(g), 1)].tolist())
+            if len(set(g)) > 1 or len(pairs) > 1:
+                return None
+            registers.append((g[0], pairs.pop() if pairs else 0.0))
+        return tuple(registers)
+
     def is_uniform(self) -> bool:
-        """True when every spin has the same g and every pair the same J, to 1e-12."""
-        gs = self.g_charger + self.g_battery
-        if not np.allclose(gs, gs[0], rtol=1e-12, atol=0.0):
+        """True when every spin has the same g and every pair the same J."""
+        registers = self._registers()
+        if registers is None:
             return False
-        offs = []
-        for mat in (self.j_charger, self.j_battery):
-            n = mat.shape[0]
-            offs.extend(mat[i, j] for i in range(n) for j in range(n) if i != j)
-        return not offs or bool(np.allclose(offs, offs[0], rtol=1e-12, atol=0.0))
+        (g_c, j_c), (g_b, j_b) = registers
+        both_paired = self.n_charger > 1 and self.m_battery > 1
+        return g_c == g_b and (j_c == j_b or not both_paired)

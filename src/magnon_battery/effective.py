@@ -7,6 +7,13 @@ and each same-register pair picks up an induced coupling of the same
 form on top of its direct exchange J.  With the mode above the spins
 the induced coupling is negative, so choosing J = -G cancels the
 intra-register terms entirely (the sweet spot).
+
+One builder makes the model on either layout of the full model's
+registers: one register per spin, or one symmetric register per side
+for a config uniform within each register (the collective model).  It
+reads the same per-register couplings g and exchange as the full model
+and hands the flip-flop matrix exchange + g g^T / (omega - omega_m) to
+the one assembler, with no diagonal and no mode term.
 """
 
 from __future__ import annotations
@@ -17,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .hilbert import HamiltonianMatrix, _assemble, enumerate_sector_basis
+from .hilbert import (
+    HamiltonianMatrix,
+    SectorBasis,
+    _assemble,
+    _check_compatible,
+    enumerate_sector_basis,
+)
 
 __all__ = [
     "DegeneracyError",
@@ -124,28 +137,24 @@ def _warn_if_not_dispersive(config: SystemConfig):
 
 
 def build_effective_hamiltonian(
-    config: SystemConfig, n_excitations: int | None = None
+    config: SystemConfig, basis: SectorBasis | None = None
 ) -> HamiltonianMatrix:
-    """Spin-only Hamiltonian with the mode eliminated.
+    """Spin-only Hamiltonian with the mode eliminated, on the registers of basis.
 
     Charger-battery pairs couple with G_ik; same-register pairs with
     G + J.  Free energies are dropped (they are constant within an
     excitation sector and only contribute a global phase).  The basis
-    defaults to the sector reached from the fully charged initial
-    state, n_excitations = N.
+    defaults to the per-spin sector reached from the fully charged
+    initial state, N excitations and cutoff 0.  A basis of one column
+    per register needs a config that is uniform within each register.
+    The model has no mode, so ``config.fock_cutoff`` is not checked.
     """
     _warn_if_not_dispersive(config)
-    couplings = effective_couplings(config)
-    if n_excitations is None:
-        n_excitations = config.n_charger
-    basis = enumerate_sector_basis(config.n_charger, config.m_battery, 0, n_excitations)
-    exchange = np.block(
-        [
-            [couplings.charger_charger + config.j_charger, couplings.charger_battery],
-            [couplings.charger_battery.T, couplings.battery_battery + config.j_battery],
-        ]
-    )
-    return HamiltonianMatrix(_assemble(basis, None, None, exchange), basis)
+    if basis is None:
+        basis = enumerate_sector_basis(config.n_charger, config.m_battery, 0, config.n_charger)
+    g, exchange = _check_compatible(config, basis, mode=False)
+    flip_flop = exchange + np.outer(g, g) / (config.omega - config.omega_m)
+    return HamiltonianMatrix(_assemble(basis, None, None, flip_flop), basis)
 
 
 def sweet_spot_j(couplings: EffectiveCouplings) -> float:

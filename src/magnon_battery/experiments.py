@@ -22,9 +22,13 @@ needs couplings uniform over every spin.  ``parse_config`` resolves
 ``models`` from it once.  A runner returns the CSV columns and a list of
 blocks; a block is a tuple of cells, a str cell repeating down the block
 and an array cell giving one float per row.  ``_csv_rows`` alone formats
-floats, as the repr of a Python float.  The collective model has no J:
-it is the model at the sweet spot J = -G, so a sweep or compare point
-that gives it another J is rejected.
+floats, as the repr of a Python float.
+
+A trajectory model is a builder, a layout and a cutoff.  ``full`` is
+the full model, on one symmetric register per side when each register
+is uniform, else per spin.  ``effective`` is the dispersive model per
+spin, and ``collective`` the same builder on symmetric registers; like
+every model it runs at the J it is given.
 """
 
 from __future__ import annotations
@@ -38,12 +42,10 @@ from importlib import metadata
 
 import numpy as np
 
-from .collective import build_collective_hamiltonian, collective_charged_state
 from .config import SystemConfig
 from .dynamics import Trajectory, charging_horizon, charging_metrics, evolve
 from .effective import build_effective_hamiltonian, effective_couplings
 from .hilbert import (
-    _register_couplings,
     _register_sector,
     build_full_hamiltonian,
     charged_initial_state,
@@ -624,17 +626,6 @@ def _validate_mode(spec: ExperimentSpec) -> None:
         raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
     if spec.mode == "sweep-j" and spec.j_values is None:
         raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
-    # the collective model takes no J: it is the model at the sweet spot J = -G
-    # (the collective mode prints no J, so only labelled points are checked)
-    if spec.mode != "collective" and "collective" in spec.models:
-        induced = _induced(system)
-        for j in _exchange_values(spec):
-            if not _at_sweet_spot(j, induced):
-                raise ConfigError(
-                    "[sweep]: the collective model is derived at the sweet spot "
-                    f"J/delta = {-induced / system.detuning!r} (exchange = sweet); "
-                    f"got J/delta = {j / system.detuning!r}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +633,8 @@ def _validate_mode(spec: ExperimentSpec) -> None:
 
 
 def _coupling_scale(config: SystemConfig) -> float:
-    """|G| used for horizons and power units; largest pair value if non-uniform."""
-    couplings = effective_couplings(config)
-    if config.is_uniform():
-        return abs(couplings.uniform_value())
-    return float(np.abs(couplings.charger_battery).max())
+    """|G| used for horizons and power units; the largest pair value."""
+    return float(np.abs(effective_couplings(config).charger_battery).max())
 
 
 def _induced(config: SystemConfig) -> float:
@@ -659,11 +647,9 @@ def _at_sweet_spot(j: float, g: float) -> bool:
 
 
 def _uniform_j(config: SystemConfig) -> float:
-    if config.n_charger >= 2:
-        return float(config.j_charger[0, 1])
-    if config.m_battery >= 2:
-        return float(config.j_battery[0, 1])
-    return 0.0
+    """The J of a uniform config: the charger's if it has a pair, else the battery's."""
+    (_, j_c), (_, j_b) = config._registers()
+    return j_c if config.n_charger >= 2 else j_b
 
 
 def _exchange_values(spec: ExperimentSpec) -> tuple[float, ...]:
@@ -680,10 +666,9 @@ def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     """Dispatch to the applicable closed form, in splitting units."""
     if not config.is_uniform():
         raise ConfigError("closed forms exist only for uniform couplings")
-    g = effective_couplings(config).uniform_value()
+    g = _induced(config)
     n, m = config.n_charger, config.m_battery
-    j_c = float(config.j_charger[0, 1]) if n >= 2 else 0.0
-    j_b = float(config.j_battery[0, 1]) if m >= 2 else 0.0
+    (_, j_c), (_, j_b) = config._registers()
 
     if (n, m) == (1, 1):
         return e_one_one(g, times)
@@ -705,21 +690,6 @@ def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
 
 
 def _trajectory(model: str, config: SystemConfig, times: np.ndarray, tol: float) -> Trajectory:
-    if model == "full":
-        n_exc = config.n_charger
-        cutoff = config.fock_cutoff if config.fock_cutoff is not None else n_exc
-        # one symmetric register per side where the config allows it, else one per spin
-        sector = _register_sector if _register_couplings(config) else enumerate_sector_basis
-        basis = sector(config.n_charger, config.m_battery, cutoff, n_exc)
-        h = build_full_hamiltonian(config, basis)
-        return evolve(h, charged_initial_state(basis), times, tol=tol)
-    if model == "effective":
-        h = build_effective_hamiltonian(config)
-        return evolve(h, charged_initial_state(h.basis), times, tol=tol)
-    if model == "collective":
-        g = effective_couplings(config).uniform_value()
-        h = build_collective_hamiltonian(g, config.n_charger, config.m_battery)
-        return evolve(h, collective_charged_state(h.basis), times, tol=tol)
     if model == "analytic":
         energy = np.asarray(_analytic_energy(config, times))
         power = np.zeros_like(energy)
@@ -728,7 +698,19 @@ def _trajectory(model: str, config: SystemConfig, times: np.ndarray, tol: float)
         return Trajectory(
             times=times, energy=energy, power=power, norm=np.ones_like(energy)
         )
-    raise ConfigError(f"unknown model {model!r}")
+    # a builder, a layout (one symmetric register per side, or one per spin)
+    # and a cutoff; the full model takes registers wherever the config allows
+    n = config.n_charger
+    if model == "full":
+        build, registers = build_full_hamiltonian, config._registers() is not None
+        cutoff = n if config.fock_cutoff is None else config.fock_cutoff
+    elif model in ("effective", "collective"):
+        build, registers, cutoff = build_effective_hamiltonian, model == "collective", 0
+    else:
+        raise ConfigError(f"unknown model {model!r}")
+    sector = _register_sector if registers else enumerate_sector_basis
+    basis = sector(n, config.m_battery, cutoff, n)
+    return evolve(build(config, basis), charged_initial_state(basis), times, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +811,7 @@ def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, int, int, float]]:
         sizes = [(ratio * m, m) for ratio in spec.ratios for m in range(1, spec.m_max + 1)]
     else:
         sizes = [(base.n_charger, base.m_battery)]
-    exchanges = (-_induced(base),) if spec.mode == "sweep-nm" else _exchange_values(spec)
-    return [(model, n, m, j) for model in spec.models for j in exchanges for n, m in sizes]
+    return [(model, n, m, j) for model in spec.models for j in _exchange_values(spec) for n, m in sizes]
 
 
 def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:

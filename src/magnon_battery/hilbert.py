@@ -39,11 +39,13 @@ register's exchange J among its own spins: on the symmetric irrep,
 sum_{i<j} (s+_i s-_j + h.c.) = S+S- - n, which adds J n(K-n) to the
 diagonal (nothing for a single spin, where it is skipped).
 
-The full model runs on symmetric registers whenever a config is uniform
-within each register: every charger spin has the same g and every
-charger pair the same J, and likewise for the battery.  Each register
-then stays in its symmetric irrep, so the (n_C, n_magnon, n_B) sector
-is exact.  Any other config needs one register per spin.
+The full and the effective model run on symmetric registers whenever a
+config is uniform within each register (``SystemConfig._registers``):
+every charger spin has the same g and every charger pair the same J,
+and likewise for the battery.  Each register then stays in its
+symmetric irrep, so the (n_C, n_magnon, n_B) sector is exact.  Any
+other config needs one register per spin.  ``_check_compatible`` reads
+a config's mode couplings and flip-flop matrix over either layout.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag
 
 from .config import SystemConfig
 
@@ -320,42 +321,29 @@ def enumerate_composite_basis(n_charger: int, m_battery: int, cutoff: int) -> Se
     return _sector(n_charger, m_battery, cutoff, None, per_spin=True)
 
 
-def _register_couplings(config: SystemConfig):
-    """((g_C, J_C), (g_B, J_B)) if each register is uniform, else None.
-
-    Uniform means every spin of the register has the same g and every
-    pair of it the same J; then the register keeps to its symmetric
-    irrep.  A single spin has no pair; its J is reported as 0.
-    """
-    registers = []
-    for g, j in ((config.g_charger, config.j_charger), (config.g_battery, config.j_battery)):
-        pairs = set(j[np.triu_indices(len(g), 1)].tolist())
-        if len(set(g)) > 1 or len(pairs) > 1:
-            return None
-        registers.append((g[0], pairs.pop() if pairs else 0.0))
-    return tuple(registers)
-
-
-def _check_compatible(config: SystemConfig, basis: SectorBasis):
+def _check_compatible(config: SystemConfig, basis: SectorBasis, mode: bool = True):
     """Mode couplings and flip-flop matrix of config over the registers of basis.
 
-    Raises if the register sizes or the cutoff differ, or if the basis
-    has one column per register while config is not uniform within
-    each register.
+    Raises if the register sizes differ, if the cutoff differs (for a
+    model with the mode; ``mode=False`` skips that check), or if the
+    basis has one column per register while config is not uniform
+    within each register.
     """
     if (config.n_charger, config.m_battery) != (basis.n_charger, basis.m_battery):
         raise ValueError(
             f"config registers ({config.n_charger}, {config.m_battery}) do not match "
             f"basis registers ({basis.n_charger}, {basis.m_battery})"
         )
-    if config.fock_cutoff is not None and config.fock_cutoff != basis.cutoff:
+    if mode and config.fock_cutoff is not None and config.fock_cutoff != basis.cutoff:
         raise ValueError(
             f"config fock_cutoff {config.fock_cutoff} does not match basis cutoff {basis.cutoff}"
         )
     n, m = config.n_charger, config.m_battery
     if basis._capacity.tolist() == _capacity(n, m, basis.cutoff, per_spin=True):
-        return config.g_charger + config.g_battery, block_diag(config.j_charger, config.j_battery)
-    registers = _register_couplings(config)
+        exchange = np.zeros((n + m, n + m))
+        exchange[:n, :n], exchange[n:, n:] = config.j_charger, config.j_battery
+        return config.g_charger + config.g_battery, exchange
+    registers = config._registers()
     if registers is None:
         raise ValueError(
             "basis has one column per register, but config couplings differ within a register"

@@ -139,28 +139,40 @@ def test_battery_energy_matches_kronecker_operator(kind):
 @pytest.mark.parametrize("n_excitations", [1, 2, 3, 4])
 def test_effective_hamiltonian_matches_kronecker_operator(n_excitations):
     cfg = _disordered()
-    built = build_effective_hamiltonian(cfg, n_excitations)
-    assert built.basis.labels == enumerate_sector_basis(3, 2, 0, n_excitations).labels
+    basis = enumerate_sector_basis(3, 2, 0, n_excitations)
+    built = build_effective_hamiltonian(cfg, basis)
+    assert built.basis is basis
     space, h = _effective_operator(cfg)
     assert np.max(np.abs(built.toarray() - space.project(h, built.basis.labels))) <= 1e-12
 
 
+SIZES = [(n, m) for n in range(1, 10) for m in range(1, 11 - n)]
+
+
+# the sweet spot J/delta = 0.01 runs under the ids "N-M"; other J add theirs
 @pytest.mark.parametrize(
-    "n, m", [(n, m) for n in range(1, 10) for m in range(1, 11 - n)]
+    "n, m, j_over_delta",
+    [pytest.param(n, m, 0.01, id=f"{n}-{m}") for n, m in SIZES]
+    + [pytest.param(n, m, j, id=f"{n}-{m}-{j}") for j in (0.0, 0.05) for n, m in SIZES],
 )
-def test_collective_is_effective_model_on_symmetric_registers(n, m):
+def test_collective_is_effective_model_on_symmetric_registers(n, m, j_over_delta):
     # registers of capacity K = N and M: V^dag H_eff V over the embedded
-    # Dicke states must be the collective model at the sweet spot J = -G
-    cfg = SystemConfig.dispersive(n, m, g_over_delta=0.1, j_over_delta=0.01)
-    coupling = effective_couplings(cfg).uniform_value()
-    assert coupling == pytest.approx(-0.01, rel=1e-12)
-    collective = build_collective_hamiltonian(coupling, n, m)
-    effective = build_effective_hamiltonian(cfg)
-    columns = [dicke_embed(basis_state(collective.basis, lab)) for lab in collective.basis.labels]
-    assert all(col.basis.labels == effective.basis.labels for col in columns)
+    # Dicke states must be the effective model built on the registers, at
+    # any J, and the sweet-spot reference model at J = -G (J/delta = 0.01)
+    cfg = SystemConfig.dispersive(n, m, g_over_delta=0.1, j_over_delta=j_over_delta)
+    registers = build_effective_hamiltonian(cfg, _register_sector(n, m, 0, n))
+    per_spin = build_effective_hamiltonian(cfg)
+    columns = [dicke_embed(basis_state(registers.basis, lab)) for lab in registers.basis.labels]
+    assert all(col.basis.labels == per_spin.basis.labels for col in columns)
     v = np.array([col.amplitudes for col in columns]).T
-    projected = v.conj().T @ effective.toarray() @ v
-    assert np.max(np.abs(projected - collective.toarray())) <= 1e-12
+    projected = v.conj().T @ per_spin.toarray() @ v
+    assert np.max(np.abs(projected - registers.toarray())) <= 1e-12
+    if j_over_delta == 0.01:
+        coupling = effective_couplings(cfg).uniform_value()
+        assert coupling == pytest.approx(-0.01, rel=1e-12)
+        collective = build_collective_hamiltonian(coupling, n, m)
+        assert collective.basis.labels == registers.basis.labels
+        assert np.max(np.abs(projected - collective.toarray())) <= 1e-12
 
 
 def _register_uniform(n, m, g_c, g_b, j_c, j_b):
@@ -194,7 +206,7 @@ REGISTER_COUPLINGS = (
 
 @pytest.mark.parametrize(
     "n, m, cutoff",
-    [(n, m, n) for n in range(1, 10) for m in range(1, 11 - n)]
+    [(n, m, n) for n, m in SIZES]
     + [(3, 2, 1), (4, 3, 2), (6, 4, 0)],
 )
 def test_full_model_on_symmetric_registers(n, m, cutoff):

@@ -94,6 +94,14 @@ def test_is_uniform():
         g_charger=(0.1, 0.2), g_battery=0.1, j_charger=0.0, j_battery=0.0,
     )
     assert not lopsided.is_uniform()
+    # exact equality: one ulp apart is not uniform
+    assert not dataclasses.replace(lopsided, g_charger=(0.1, 0.1000000000000001)).is_uniform()
+    assert dataclasses.replace(lopsided, g_charger=(0.1, 0.1)).is_uniform()
+    # J must agree between the registers only where both have a pair
+    single = SystemConfig.uniform(1, 3, g=0.1, omega=1.0, omega_m=2.0, j_battery=0.05)
+    assert single.is_uniform()
+    split = SystemConfig.uniform(2, 2, g=0.1, omega=1.0, omega_m=2.0, j_battery=0.05)
+    assert not split.is_uniform()
 
 
 def test_frozen():

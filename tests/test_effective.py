@@ -1,5 +1,7 @@
 """Mode elimination against exact-diagonalization oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,10 @@ def test_effective_default_sector():
     h = build_effective_hamiltonian(cfg)
     assert h.basis.n_excitations == 3
     assert h.basis.cutoff == 0
+    # the model has no mode: a config's fock_cutoff is not checked against the basis
+    truncated = build_effective_hamiltonian(dataclasses.replace(cfg, fock_cutoff=2))
+    assert truncated.basis.cutoff == 0
+    assert (truncated.matrix != h.matrix).nnz == 0
 
 
 def test_dispersive_warning():

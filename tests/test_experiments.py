@@ -251,11 +251,11 @@ n_max = 12
     parse_config(base.replace("n_max = 12", "n_max = 40"))
     with pytest.raises(ConfigError, match="must be >= n_min"):
         parse_config(base.replace("n_min = 1", "n_min = 13"))
-    with pytest.raises(ConfigError, match="sweet"):
-        parse_config(
-            base.replace("models = full", "models = collective\nexchange = zero")
-            .replace("n_max = 12", "n_max = 4")
-        )
+    # the collective model runs at any J, like every other model
+    parse_config(
+        base.replace("models = full", "models = collective\nexchange = zero")
+        .replace("n_max = 12", "n_max = 4")
+    )
     with pytest.raises(ConfigError, match="j_values"):
         parse_config("[run]\nmode = sweep-j\n\n[system]\ng_over_delta = 0.1\n")
     both = (
@@ -266,7 +266,6 @@ n_max = 12
         parse_config(both)
     with pytest.raises(ConfigError, match=r"line 8: \[sweep\] j_values_over_delta: list is empty"):
         parse_config(both.replace("= 0.0\nj_values = 0.0\n", "=\n"))
-    # the collective model exists only at the sweet spot J = -G (J/delta = 0.01 here)
     sweep_j = (
         "[run]\nmode = sweep-j\n\n[system]\nn_charger = 3\nm_battery = 2\ng_over_delta = 0.1\n\n"
         "[sweep]\nmodels = effective, collective\nj_values_over_delta = 0.0, -0.01, 0.02\n"
@@ -275,16 +274,15 @@ n_max = 12
         "[run]\nmode = compare\n\n[system]\nn_charger = 2\nm_battery = 2\ng_over_delta = 0.1\n\n"
         "[sweep]\nmodels = collective\nj_values_over_delta = 0.0, 0.05\n"
     )
-    away = (
+    # points away from the sweet spot J/delta = 0.01 as well as at it
+    for text in (
         sweep_j,
         sweep_j.replace("0.0, -0.01, 0.02", "0.01, 0.02"),
         compare,
         compare.replace("0.0, 0.05", "0.01, 0.05"),
         compare.replace("j_values_over_delta = 0.0, 0.05\n", ""),  # J from [system]: 0
-    )
-    for text in away:
-        with pytest.raises(ConfigError, match="collective model is derived at the sweet spot"):
-            parse_config(text)
+    ):
+        parse_config(text)
     parse_config(sweep_j.replace("0.0, -0.01, 0.02", "0.01"))
     parse_config(compare.replace("0.0, 0.05", "0.01"))
     parse_config(compare.replace("j_values_over_delta = 0.0, 0.05\n", "").replace(
@@ -306,6 +304,12 @@ g_battery_over_delta = 0.1
     with pytest.raises(ConfigError, match="uniform"):
         parse_config(text)
     parse_config(text.replace("mode = analytic", "mode = simulate-full"))
+    # uniform means exactly equal: couplings one ulp apart are not
+    nearly = text.replace("mode = analytic", "mode = collective").replace(
+        "0.1, 0.2", "0.1, 0.1000000000000001"
+    )
+    with pytest.raises(ConfigError, match="requires uniform couplings"):
+        parse_config(nearly)
 
 
 _SYSTEM = "[system]\nn_charger = 2\nm_battery = 1\ng_over_delta = 0.1\n"
@@ -338,6 +342,32 @@ def test_every_mode_runs_end_to_end(mode):
     assert len(lines) == 1 + n_rows
     if mode == "simulate-full":
         assert max(float(line.split(",")[4]) for line in lines[1:]) > 1e-4
+
+
+def test_collective_mode_runs_the_config_exchange():
+    # the collective mode is the effective model on symmetric registers, at the config's J
+    text = """\
+[run]
+mode = collective
+samples = 201
+
+[system]
+n_charger = 3
+m_battery = 2
+g_over_delta = 0.1
+j_over_delta = 0.05
+"""
+    collective = np.array(_table(run_experiment(parse_config(text))), dtype=float)
+    effective = np.array(
+        _table(run_experiment(parse_config(text.replace("collective", "simulate-effective")))),
+        dtype=float,
+    )
+    assert np.array_equal(collective[:, 0], effective[:, 0])
+    assert np.max(np.abs(collective[:, 1] - effective[:, 1])) <= 1e-10
+    sweet = np.array(
+        _table(run_experiment(parse_config(text.replace("0.05", "0.01")))), dtype=float
+    )
+    assert np.max(np.abs(sweet[:, 1] - collective[:, 1])) > 1e-3
 
 
 def test_trajectory_csv_schema():
@@ -551,6 +581,11 @@ m_max = 2
 """
     rows = sweep_metrics(parse_config(text))
     assert [(r.n_charger, r.m_battery) for r in rows] == [(1, 1), (2, 2), (2, 1), (4, 2)]
+    # [sweep] exchange sets J: zero leaves the 2->1 induced coupling uncancelled
+    zero = text.replace("models = collective", "models = effective\nexchange = zero")
+    (row,) = sweep_metrics(parse_config(zero.replace("1, 2", "2").replace("m_max = 2", "m_max = 1")))
+    assert (row.n_charger, row.m_battery, row.j_over_delta) == (2, 1, 0.0)
+    assert row.e_max == pytest.approx(8 / 9, abs=1e-3)
 
 
 def test_byte_identical_reruns_and_thread_independence():
