@@ -9,8 +9,6 @@ noise-averaged treatment of mode-frequency jitter, and a CSV-emitting
 experiment runner (`magnon-battery` on the command line).
 """
 
-from importlib import metadata as _metadata
-
 from .collective import build_collective_hamiltonian, collective_charged_state, dicke_embed
 from .config import SystemConfig
 from .dynamics import (
@@ -22,15 +20,14 @@ from .dynamics import (
     evolve,
 )
 from .effective import (
-    DegeneracyError,
     EffectiveCouplings,
     build_effective_hamiltonian,
     effective_couplings,
-    second_order_coupling,
     sweet_spot_j,
 )
 from .experiments import (
     PRESETS,
+    TOOL_VERSION as __version__,
     ConfigError,
     ExperimentSpec,
     SweepRow,
@@ -43,13 +40,10 @@ from .hilbert import (
     SectorBasis,
     StateVector,
     basis_state,
-    battery_occupation_operator,
     build_full_hamiltonian,
     charged_initial_state,
-    dump_matrix,
     enumerate_composite_basis,
     enumerate_sector_basis,
-    magnon_occupation_operator,
     total_excitation_operator,
 )
 from .qsd import (
@@ -60,11 +54,6 @@ from .qsd import (
     solve_f12,
 )
 from . import analytic
-
-try:
-    __version__ = _metadata.version("magnon-battery")
-except _metadata.PackageNotFoundError:  # bare checkout
-    __version__ = "0.0.0"
 
 __all__ = [
     "__version__",
@@ -78,13 +67,8 @@ __all__ = [
     "build_full_hamiltonian",
     "basis_state",
     "charged_initial_state",
-    "battery_occupation_operator",
-    "magnon_occupation_operator",
     "total_excitation_operator",
-    "dump_matrix",
-    "DegeneracyError",
     "EffectiveCouplings",
-    "second_order_coupling",
     "effective_couplings",
     "build_effective_hamiltonian",
     "sweet_spot_j",

@@ -1,9 +1,11 @@
 """Closed-form charging curves for the small effective models.
 
-These are the oracles the numerical layers are tested against.  All
-formulas take the signed induced coupling G (negative in the physical
-regime where the mode sits above the spins) and return energies in
-units of omega.  Time arguments may be scalars or arrays.
+These are the oracles the numerical layers are tested against, and the
+``analytic`` run mode prints them.  The matching state amplitudes,
+which only tests read, live with the tests in ``tests/helpers.py``.
+All formulas take the signed induced coupling G (negative in the
+physical regime where the mode sits above the spins) and return
+energies in units of omega.  Time arguments may be scalars or arrays.
 
 Conventions:
 
@@ -30,9 +32,6 @@ __all__ = [
     "e_two_one",
     "e_n_one",
     "e_two_two",
-    "state_two_one",
-    "state_n_one",
-    "state_two_two",
 ]
 
 
@@ -51,8 +50,8 @@ def two_to_one_spectrum(coupling: float, exchange: float) -> TwoToOneSpectrum:
     The branch of the mixing angle is fixed with atan2 so that
     sin(2 theta) carries the sign of the coupling and cos(2 theta) the
     sign of coupling+exchange; that is the branch for which the
-    time-evolved state below matches direct propagation for every sign
-    combination.  Energy curves only involve sin^2(2 theta) and are
+    time-evolved two-to-one state matches direct propagation for every
+    sign combination.  Energy curves only involve sin^2(2 theta) and are
     branch-independent.
     """
     s = coupling + exchange
@@ -100,53 +99,3 @@ def e_two_two(coupling: float, times, omega: float = 1.0):
     out = 2.0 * omega * np.sin(math.sqrt(2.0) * abs(coupling) * t) ** 2
     return out if out.ndim else float(out)
 
-
-def state_two_one(coupling: float, exchange: float, t: float) -> np.ndarray:
-    """Amplitudes on (|ee,g>, |eg,e>, |ge,e>) for the two-to-one model.
-
-    The initial state |ee,g> splits over the two bright levels with
-    weights cos^2(theta) and sin^2(theta); the battery components share
-    the remaining weight symmetrically.
-    """
-    spec = two_to_one_spectrum(coupling, exchange)
-    root = math.hypot(coupling + exchange, 2.0 * math.sqrt(2.0) * coupling)
-    cos2t = (coupling + exchange) / root
-    sin2t = 2.0 * math.sqrt(2.0) * coupling / root
-    phase_p = np.exp(-1j * spec.eps_plus * t)
-    phase_m = np.exp(-1j * spec.eps_minus * t)
-    top = phase_p * (1.0 - cos2t) / 2.0 + phase_m * (1.0 + cos2t) / 2.0
-    side = (phase_p - phase_m) * sin2t / (2.0 * math.sqrt(2.0))
-    return np.array([top, side, side])
-
-
-def state_n_one(coupling: float, n_charger: int, t: float) -> np.ndarray:
-    """Sweet-spot N-to-one amplitudes.
-
-    Index 0 is the fully charged configuration; indices 1..N are the
-    battery-excited strings in descending-lexicographic basis order
-    (they all carry the same amplitude by symmetry).
-    """
-    if n_charger < 1 or int(n_charger) != n_charger:
-        raise ValueError("n_charger must be a positive integer")
-    root_n = math.sqrt(n_charger)
-    angle = root_n * coupling * t
-    amps = np.empty(n_charger + 1, dtype=complex)
-    amps[0] = math.cos(angle)
-    amps[1:] = -1j * math.sin(angle) / root_n
-    return amps
-
-
-def state_two_two(coupling: float, t: float) -> np.ndarray:
-    """Sweet-spot two-to-two amplitudes on (|1,-1>, |0,0>, |-1,1>).
-
-    A spin-1 rotation by the angle 2 sqrt(2) G t:
-    (cos^2, -i sin(2x)/sqrt(2), -sin^2) with x = sqrt(2) G t.
-    """
-    x = math.sqrt(2.0) * coupling * t
-    return np.array(
-        [
-            math.cos(x) ** 2,
-            -1j * math.sin(2.0 * x) / math.sqrt(2.0),
-            -(math.sin(x) ** 2),
-        ]
-    )

@@ -9,9 +9,9 @@ goes to --out, to the config's own [run] out path, or to stdout.
 
 Exit codes: 0 success, 1 configuration problem (bad arguments, bad
 config text, unreadable file), 2 numerical failure (integration
-breakdown, runaway coefficients, degenerate elimination, failed linear
-algebra, floating-point traps).  Any other exception is a bug and
-propagates with its traceback.
+breakdown, runaway coefficients, failed linear algebra, floating-point
+traps).  Any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from dataclasses import replace
 
 from numpy.linalg import LinAlgError
 
-from .effective import DegeneracyError
 from .experiments import MODES, PRESETS, TOOL_VERSION, ConfigError, parse_config, run_experiment
 
 __all__ = ["main", "entrypoint"]
 
 # RuntimeError covers RiccatiBlowupError and integrator breakdown
-_NUMERICAL_ERRORS = (RuntimeError, DegeneracyError, LinAlgError, FloatingPointError)
+_NUMERICAL_ERRORS = (RuntimeError, LinAlgError, FloatingPointError)
 
 
 class _ArgumentError(Exception):

@@ -639,7 +639,7 @@ def _coupling_scale(config: SystemConfig) -> float:
 
 def _induced(config: SystemConfig) -> float:
     """The induced coupling G of a uniform config."""
-    return config.g_charger[0] * config.g_battery[0] / (config.omega - config.omega_m)
+    return effective_couplings(config).uniform_value()
 
 
 def _at_sweet_spot(j: float, g: float) -> bool:
@@ -831,6 +831,7 @@ def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:
             g_battery=base.g_battery[0],
             j_charger=j,
             j_battery=j,
+            fock_cutoff=base.fock_cutoff,
         )
         horizon = spec.horizon
         if horizon is None:

@@ -19,7 +19,8 @@ Every basis is enumerated by one walk, ``_sector``, over that vector:
 it emits the occupation rows that fit inside the capacities and sum to
 the excitation number (every row, for the composite basis), ordered
 descending-lexicographically.  That order puts the fully charged
-configuration first and makes matrix files reproducible byte for byte.
+configuration first and makes every built matrix reproducible entry for
+entry.
 
 Each basis holds its labels as an integer occupation array (one row per
 label) and ranks every row by a mixed-radix key, base K+1 per
@@ -65,12 +66,9 @@ __all__ = [
     "enumerate_sector_basis",
     "enumerate_composite_basis",
     "build_full_hamiltonian",
-    "battery_occupation_operator",
-    "magnon_occupation_operator",
     "total_excitation_operator",
     "basis_state",
     "charged_initial_state",
-    "dump_matrix",
 ]
 
 Label = tuple[int, ...]
@@ -131,17 +129,16 @@ class SectorBasis:
 
     @property
     def labels(self) -> tuple[Label, ...]:
-        """The occupation tuples, in basis order (built on each call)."""
+        """The occupation tuples, in basis order (built on each call).
+
+        Nothing in the package reads them; the benchmark's oracles and
+        the tests do.
+        """
         return tuple(zip(*self._occupations.T.tolist()))
 
     @property
     def dimension(self) -> int:
         return len(self._occupations)
-
-    def split(self, label: Label) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-        """Split a label into (charger registers, magnon number, battery registers)."""
-        k = self._mode
-        return label[:k], label[k], label[k + 1:]
 
     def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Excited chargers, magnon number and excited battery spins per label."""
@@ -446,23 +443,10 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
     return HamiltonianMatrix(matrix, basis)
 
 
-def _diagonal_operator(diag: np.ndarray, basis: SectorBasis) -> HamiltonianMatrix:
-    return HamiltonianMatrix(sp.diags(diag.astype(complex), format="csr"), basis)
-
-
-def battery_occupation_operator(basis: SectorBasis) -> HamiltonianMatrix:
-    """Diagonal count of excited battery spins."""
-    return _diagonal_operator(basis._counts()[2], basis)
-
-
-def magnon_occupation_operator(basis: SectorBasis) -> HamiltonianMatrix:
-    """Diagonal magnon number."""
-    return _diagonal_operator(basis._counts()[1], basis)
-
-
 def total_excitation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal total excitation number (constant on a single sector)."""
-    return _diagonal_operator(sum(basis._counts()), basis)
+    total = sum(basis._counts()).astype(complex)
+    return HamiltonianMatrix(sp.diags(total, format="csr"), basis)
 
 
 def basis_state(basis: SectorBasis, label: Label) -> StateVector:
@@ -486,23 +470,3 @@ def charged_initial_state(basis: SectorBasis) -> StateVector:
         )
     return basis_state(basis, label)
 
-
-def dump_matrix(h: HamiltonianMatrix, path) -> None:
-    """Write coordinate-format text: header, then 'row col re im' lines.
-
-    Entries come out sorted by (row, col); floats use shortest
-    round-trip formatting so the dump is deterministic.
-    """
-    coo = h.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"# dim={h.dimension} nnz={h.nnz}"]
-    for k in order:
-        v = coo.data[k]
-        # plain-float repr: numpy scalar reprs are not round-trip text
-        lines.append(f"{coo.row[k]} {coo.col[k]} {float(v.real)!r} {float(v.imag)!r}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)

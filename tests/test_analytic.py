@@ -19,11 +19,10 @@ from magnon_battery.analytic import (
     e_one_one,
     e_two_one,
     e_two_two,
-    state_n_one,
-    state_two_one,
-    state_two_two,
     two_to_one_spectrum,
 )
+
+from helpers import state_n_one, state_two_one, state_two_two
 
 
 def _propagate(h, t):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from magnon_battery import (
-    DegeneracyError,
     SystemConfig,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -14,9 +13,10 @@ from magnon_battery import (
     effective_couplings,
     enumerate_sector_basis,
     evolve,
-    second_order_coupling,
     sweet_spot_j,
 )
+
+from helpers import second_order_coupling
 
 
 def test_induced_coupling_values():
@@ -40,12 +40,16 @@ def test_nonuniform_couplings():
         n_charger=2, m_battery=1, omega=10.0, omega_m=11.0,
         g_charger=(0.1, 0.2), g_battery=(0.1,), j_charger=0.0, j_battery=0.0,
     )
-    couplings = effective_couplings(cfg)
-    assert couplings.charger_battery[1, 0] == pytest.approx(-0.02)
-    with pytest.raises(ValueError, match="not uniform"):
-        couplings.uniform_value()
-    with pytest.raises(ValueError, match="per pair"):
-        sweet_spot_j(couplings)
+    assert effective_couplings(cfg).charger_battery[1, 0] == pytest.approx(-0.02)
+    # a few ulps apart is not uniform either: the same exact rule as is_uniform()
+    close = dataclasses.replace(cfg, g_charger=(0.1, 0.1000000000000001))
+    assert not close.is_uniform()
+    for config in (cfg, close):
+        couplings = effective_couplings(config)
+        with pytest.raises(ValueError, match="not uniform"):
+            couplings.uniform_value()
+        with pytest.raises(ValueError, match="per pair"):
+            sweet_spot_j(couplings)
 
 
 def test_sweet_spot_value():
@@ -85,7 +89,7 @@ def test_second_order_coupling_errors():
     h_int[1, 2] = h_int[2, 1] = 0.1
     with pytest.raises(ValueError, match="different"):
         second_order_coupling([0.0, 0.0, 1.0], h_int, 1, 1)
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(ValueError, match="degenerate"):
         second_order_coupling([0.0, 0.0, 0.0], h_int, 0, 1)
     # a degenerate level nothing couples to is harmless
     h_int2 = np.zeros((4, 4))
@@ -94,6 +98,40 @@ def test_second_order_coupling_errors():
     second_order_coupling([0.0, 0.0, 0.0, 1.0], h_int2, 0, 1)
     with pytest.raises(ValueError, match="shape"):
         second_order_coupling([0.0, 0.0], h_int, 0, 1)
+
+
+def test_second_order_coupling_gives_induced_couplings():
+    """Perturbation theory on the full model reproduces G of every spin pair.
+
+    With J = 0 the one-excitation sector (cutoff 1) couples each single-spin
+    state only to the one-magnon state, so the second-order coupling of two
+    spins is g g' / (omega - omega_m), whatever the disorder.
+    """
+    rng = np.random.default_rng(5)
+    n, m = 2, 3
+    cfg = SystemConfig(
+        n_charger=n, m_battery=m, omega=10.0, omega_m=11.0,
+        g_charger=rng.uniform(0.05, 0.15, n), g_battery=rng.uniform(0.05, 0.15, m),
+        j_charger=0.0, j_battery=0.0,
+    )
+    basis = enumerate_sector_basis(n, m, 1, 1)
+    h = build_full_hamiltonian(cfg, basis).toarray()
+    energies = np.diag(h).real
+    h_int = h - np.diag(np.diag(h))
+    # every label but the one-magnon state excites one spin, chargers first
+    spins = [p for p, label in enumerate(basis.labels) if not label[n]]
+    induced = np.array([
+        [0.0 if p == q else second_order_coupling(energies, h_int, p, q) for q in spins]
+        for p in spins
+    ])
+    assert not np.any(induced.imag)
+    couplings = effective_couplings(cfg)
+    for got, want in (
+        (induced[:n, n:], couplings.charger_battery),
+        (induced[:n, :n], couplings.charger_charger),
+        (induced[n:, n:], couplings.battery_battery),
+    ):
+        np.testing.assert_allclose(got.real, want, rtol=1e-15, atol=0.0)
 
 
 def test_zero_detuning_rejected():

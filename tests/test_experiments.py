@@ -12,8 +12,12 @@ import pytest
 from magnon_battery import (
     ConfigError,
     PRESETS,
+    SystemConfig,
     build_full_hamiltonian,
     charged_initial_state,
+    charging_horizon,
+    charging_metrics,
+    effective_couplings,
     enumerate_sector_basis,
     evolve,
     parse_config,
@@ -507,6 +511,37 @@ n_max = 37
     assert elapsed <= 5.0, f"full 37+3 sweep took {elapsed:.2f} s"
     assert dims == [146, 146] and max(dims) <= 38 * 4
     assert all(0.0 < row.e_max <= 3.0 for row in rows)
+
+
+def test_sweep_honours_fock_cutoff():
+    text = """\
+[run]
+mode = sweep-n
+samples = 401
+
+[system]
+m_battery = 1
+g_over_delta = 0.1
+fock_cutoff = 1
+
+[sweep]
+models = full
+exchange = zero
+n_min = 3
+n_max = 3
+"""
+    spec = parse_config(text)
+    (row,) = sweep_metrics(spec)
+    (exact,) = sweep_metrics(replace(spec, system=replace(spec.system, fock_cutoff=None)))
+    config = SystemConfig.dispersive(3, 1, g_over_delta=0.1, fock_cutoff=1)
+    horizon = charging_horizon(3, 1, effective_couplings(config).uniform_value())
+    basis = enumerate_sector_basis(3, 1, 1, 3)  # at most one magnon
+    truncated = evolve(
+        build_full_hamiltonian(config, basis), charged_initial_state(basis),
+        np.linspace(0.0, horizon, spec.samples),
+    )
+    assert row.e_max == pytest.approx(charging_metrics(truncated).e_max, abs=1e-9)
+    assert abs(row.e_max - exact.e_max) > 1e-5
 
 
 def test_qsd_schema_gamma_column_only_when_swept():

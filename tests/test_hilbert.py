@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import time
@@ -13,13 +12,10 @@ from magnon_battery import (
     StateVector,
     SystemConfig,
     basis_state,
-    battery_occupation_operator,
     build_full_hamiltonian,
     charged_initial_state,
-    dump_matrix,
     enumerate_composite_basis,
     enumerate_sector_basis,
-    magnon_occupation_operator,
     total_excitation_operator,
 )
 from magnon_battery.hilbert import _register_sector
@@ -107,13 +103,6 @@ def test_empty_sector_rejected():
         _register_sector(2, 2, -1, 1)
     with pytest.raises(ValueError, match="n_excitations"):
         _register_sector(2, 2, 1, -1)
-
-
-def test_split_roundtrip():
-    basis = enumerate_sector_basis(2, 3, 1, 2)
-    for label in basis.labels:
-        c, nm, b = basis.split(label)
-        assert c + (nm,) + b == label
 
 
 def test_composite_basis():
@@ -213,14 +202,8 @@ def test_config_basis_mismatch():
 
 def test_diagonal_operators():
     basis = enumerate_sector_basis(2, 2, 2, 2)
-    n_b = battery_occupation_operator(basis).toarray()
-    n_m = magnon_occupation_operator(basis).toarray()
     n_tot = total_excitation_operator(basis).toarray()
-    for pos, label in enumerate(basis.labels):
-        c, nm, b = basis.split(label)
-        assert n_b[pos, pos] == sum(b)
-        assert n_m[pos, pos] == nm
-        assert n_tot[pos, pos] == 2
+    assert np.array_equal(n_tot, 2 * np.eye(basis.dimension))
 
 
 def test_basis_state_and_charged_state():
@@ -248,38 +231,6 @@ def test_state_vector_checks():
         StateVector(np.zeros(2, dtype=complex), basis)
     psi = basis_state(basis, (1, 0, 0))
     assert not psi.amplitudes.flags.writeable
-
-
-def test_dump_matrix_format():
-    cfg = SystemConfig.uniform(1, 1, g=0.25, omega=1.0, omega_m=2.5)
-    basis = enumerate_sector_basis(1, 1, 1, 1)
-    h = build_full_hamiltonian(cfg, basis)
-    buf = io.StringIO()
-    dump_matrix(h, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == f"# dim=3 nnz={h.nnz}"
-    assert lines[1] == "0 0 1.0 0.0"
-    coords = [tuple(map(int, line.split()[:2])) for line in lines[1:]]
-    assert coords == sorted(coords)
-    # round-trip through repr keeps exact values
-    entries = {
-        (int(r), int(c)): complex(float(re), float(im))
-        for r, c, re, im in (line.split() for line in lines[1:])
-    }
-    dense = h.toarray()
-    for (r, c), v in entries.items():
-        assert dense[r, c] == v
-
-
-def test_dump_matrix_to_path(tmp_path):
-    cfg = SystemConfig.uniform(1, 1, g=0.25, omega=1.0, omega_m=2.5)
-    basis = enumerate_sector_basis(1, 1, 1, 1)
-    h = build_full_hamiltonian(cfg, basis)
-    target = tmp_path / "h.txt"
-    dump_matrix(h, target)
-    buf = io.StringIO()
-    dump_matrix(h, buf)
-    assert target.read_text() == buf.getvalue()
 
 
 def test_labels_outside_occupation_ranges_rejected():
