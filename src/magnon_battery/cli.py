@@ -8,10 +8,10 @@ named preset (which is a canned config and takes no --config).  CSV
 goes to --out, to the config's own [run] out path, or to stdout.
 
 Exit codes: 0 success, 1 configuration problem (bad arguments, bad
-config text, unreadable file), 2 numerical failure (integration
-breakdown, runaway coefficients, failed linear algebra, floating-point
-traps).  Any other exception is a bug and propagates with its
-traceback.
+config text, unreadable config, unwritable output), 2 numerical failure
+(integration breakdown, runaway coefficients, failed linear algebra,
+floating-point traps).  Any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -96,7 +96,10 @@ def main(argv=None) -> int:
             overrides["tol"] = args.tol
         if overrides:
             spec = replace(spec, **overrides)
-        csv_text = run_experiment(spec, out=args.out)
+        try:
+            csv_text = run_experiment(spec, out=args.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,12 @@
 """Experiment orchestration: config parsing, presets, sweeps, CSV emission.
 
 Configs are flat INI-style key-value text with one section per concern
-([run], [system], [noise], [sweep]).  Frequencies are given either in
-units of the detuning via ``*_over_delta`` keys (with ``delta`` setting
-the scale) or as raw frequencies (``g``, ``omega``, ``omega_m``);
-mixing the two families in one section is rejected, as is any unknown
-key — both with the offending line number.
+([run], [system], [noise], [sweep]), read in one pass that keeps each
+key's line, so every error names its line.  ``_units`` gives [system]
+and [noise] one rule: frequencies in units of the detuning via
+``*_over_delta`` keys (``delta`` setting the scale) or raw (``g``,
+``omega``, ``omega_m``), never both in one section.  The charger-battery
+coupling must be nonzero, since it sets every time and power unit.
 
 Named presets expand to ordinary config texts, so a preset run and a
 hand-written config follow the same code path and the CSV header can
@@ -33,9 +34,9 @@ every model it runs at the J it is given.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import metadata
@@ -69,6 +70,9 @@ try:
 except metadata.PackageNotFoundError:  # running from a bare checkout
     TOOL_VERSION = "0.0.0"
 
+# the coupling keys of [system], each in both unit families (see _units)
+_COUPLINGS = ("g", "g_charger", "g_battery", "j", "j_charger", "j_battery")
+
 _KNOWN_KEYS = {
     "run": {
         "mode",
@@ -84,21 +88,10 @@ _KNOWN_KEYS = {
         "m_battery",
         "fock_cutoff",
         "delta",
-        "g_over_delta",
-        "g_charger_over_delta",
-        "g_battery_over_delta",
-        "j_over_delta",
-        "j_charger_over_delta",
-        "j_battery_over_delta",
         "omega_over_delta",
-        "g",
-        "g_charger",
-        "g_battery",
-        "j",
-        "j_charger",
-        "j_battery",
         "omega",
         "omega_m",
+        *(q + unit for q in _COUPLINGS for unit in ("", "_over_delta")),
     },
     "noise": {
         "delta",
@@ -122,7 +115,9 @@ _KNOWN_KEYS = {
     },
 }
 
-_RAW_FREQ_KEYS = {"g", "g_charger", "g_battery", "j", "j_charger", "j_battery", "omega", "omega_m", "gamma_noise"}
+_RAW_FREQ_KEYS = {*_COUPLINGS, "omega", "omega_m", "gamma_noise"}
+# a comment starts at '#' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class ConfigError(ValueError):
@@ -271,40 +266,19 @@ gamma_over_delta = 0.0, 0.002, 0.02, 0.2
 # config parsing
 
 
-def _line_map(text: str) -> dict[tuple[str, str], int]:
-    """Map (section, key) -> 1-based line number; sections keyed on ''."""
-    mapping: dict[tuple[str, str], int] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            mapping.setdefault(("", section), lineno)
-            continue
-        if "=" in line and section is not None:
-            key = line.split("=", 1)[0].strip()
-            mapping.setdefault((section, key), lineno)
-    return mapping
-
-
 class _Section:
-    """Typed access to one config section with line-numbered errors."""
+    """One config section: each key's value and line, typed access, line-numbered errors."""
 
-    def __init__(self, name: str, data: dict[str, str], lines: dict[tuple[str, str], int]):
+    def __init__(self, name: str):
         self.name = name
-        self.data = data
-        self._lines = lines
+        self.data: dict[str, str] = {}
+        self.lines: dict[str, int] = {}
 
     def __contains__(self, key: str) -> bool:
         return key in self.data
 
-    def keys(self):
-        return self.data.keys()
-
     def fail(self, key: str, message: str):
-        line = self._lines.get((self.name, key))
+        line = self.lines.get(key)
         where = f"line {line}: " if line else ""
         raise ConfigError(f"{where}[{self.name}] {key}: {message}")
 
@@ -412,89 +386,101 @@ class _Section:
 
 
 def _read_sections(text: str) -> dict[str, _Section]:
-    lines = _line_map(text)
-    # ';' stays out of the comment prefixes: it separates matrix rows
-    parser = configparser.ConfigParser(
-        delimiters=("=",),
-        comment_prefixes=("#",),
-        inline_comment_prefixes=("#",),
-        interpolation=None,
-        empty_lines_in_values=False,
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from None
-    if parser.defaults():
-        raise ConfigError("unknown section [DEFAULT]")
-    sections = {}
-    for name in parser.sections():
-        if name not in _KNOWN_KEYS:
-            line = lines.get(("", name))
-            where = f"line {line}: " if line else ""
+    """Read config text in one pass into its known sections.
+
+    ``=`` is the only delimiter and keys are case-sensitive.  ``;`` is no
+    comment, as it separates matrix rows.  A line indented deeper than its
+    key line continues that key's value; a blank or comment line ends it.
+    """
+    sections = {name: _Section(name) for name in _KNOWN_KEYS}
+    headers: dict[str, int] = {}
+    section = key = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            key = None
+            continue
+        indent = len(raw) - len(raw.lstrip())
+        if key is not None and indent > key_indent:
+            section.data[key] += "\n" + line
+            continue
+        where = f"line {lineno}: "
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in sections:
+                known = ", ".join(f"[{s}]" for s in _KNOWN_KEYS)
+                raise ConfigError(f"{where}unknown section [{name}]; known: {known}")
+            if name in headers:
+                raise ConfigError(f"{where}repeated section [{name}] (first at line {headers[name]})")
+            headers[name], section, key = lineno, sections[name], None
+            continue
+        name, equals, value = line.partition("=")
+        name = name.strip()
+        if not (equals and name):
+            raise ConfigError(f"{where}expected [section] or key = value, got {line!r}")
+        if section is None:
+            raise ConfigError(f"{where}key {name!r} comes before the first [section] header")
+        if name in section:
             raise ConfigError(
-                f"{where}unknown section [{name}]; known: "
-                + ", ".join(f"[{s}]" for s in _KNOWN_KEYS)
+                f"{where}[{section.name}] {name}: repeated key (first at line {section.lines[name]})"
             )
-        data = dict(parser.items(name))
-        section = _Section(name, data, lines)
-        for key in data:
-            if key not in _KNOWN_KEYS[name]:
-                section.fail(key, "unknown key")
-        sections[name] = section
-    for name in _KNOWN_KEYS:
-        sections.setdefault(name, _Section(name, {}, lines))
+        section.data[name], section.lines[name] = value.strip(), lineno
+        if name not in _KNOWN_KEYS[section.name]:
+            section.fail(name, "unknown key")
+        key, key_indent = name, indent
     return sections
 
 
-def _check_unit_family(section: _Section) -> bool:
-    """True if the section uses delta-normalized keys; rejects mixing."""
-    normalized = sorted(k for k in section.keys() if k.endswith("_over_delta") or k == "delta")
-    raw = sorted(k for k in section.keys() if k in _RAW_FREQ_KEYS)
+def _units(section: _Section) -> tuple[float, str, float, float]:
+    """(scale, key suffix, omega, omega_m) of the unit family a section uses.
+
+    Delta-normalized keys end in ``_over_delta``, scale by ``delta`` and put
+    the mode at omega_m = omega + delta.  Raw keys are the bare names, with
+    scale 1 and omega, omega_m given outright.  Mixing the two is rejected.
+    """
+    normalized = sorted(k for k in section.data if k.endswith("_over_delta") or k == "delta")
+    raw = sorted(k for k in section.data if k in _RAW_FREQ_KEYS)
     if normalized and raw:
         section.fail(
             raw[0],
             f"raw-frequency keys ({', '.join(raw)}) cannot be mixed with "
             f"delta-normalized keys ({', '.join(normalized)})",
         )
-    return bool(normalized) or not raw
+    if raw:
+        omega = section.get_float("omega", None, nonzero=True)
+        omega_m = section.get_float("omega_m", None)
+        if omega is None or omega_m is None:
+            section.missing("raw-frequency configs require omega and omega_m")
+        return 1.0, "", omega, omega_m
+    delta = section.get_float("delta", 1.0, nonzero=True)
+    omega = section.get_float("omega_over_delta", 10.0, nonzero=True) * delta
+    return delta, "_over_delta", omega, omega + delta
 
 
 def _parse_system(section: _Section) -> SystemConfig | None:
-    if not section.keys():
+    if not section.data:
         return None
     n = section.get_int("n_charger", 1, minimum=1)
     m = section.get_int("m_battery", 1, minimum=1)
     cutoff = section.get_int("fock_cutoff", None, minimum=0)
-    if _check_unit_family(section):
-        delta = section.get_float("delta", 1.0, nonzero=True)
-        omega = section.get_float("omega_over_delta", 10.0, nonzero=True) * delta
-        omega_m = omega + delta
-        if "g_over_delta" not in section and "g_charger_over_delta" not in section:
-            section.missing("coupling required: set g_over_delta (or g_charger_over_delta / g_battery_over_delta)")
-        scale, gk, gck, gbk = delta, "g_over_delta", "g_charger_over_delta", "g_battery_over_delta"
-        jk, jck, jbk = "j_over_delta", "j_charger_over_delta", "j_battery_over_delta"
-    else:
-        omega = section.get_float("omega", None, nonzero=True)
-        omega_m = section.get_float("omega_m", None, nonzero=True)
-        if omega is None or omega_m is None:
-            section.missing("raw-frequency configs require omega and omega_m")
-        if "g" not in section and "g_charger" not in section:
-            section.missing("coupling required: set g (or g_charger / g_battery)")
-        scale, gk, gck, gbk = 1.0, "g", "g_charger", "g_battery"
-        jk, jck, jbk = "j", "j_charger", "j_battery"
+    scale, unit, omega, omega_m = _units(section)
+    gk, gck, gbk, jk, jck, jbk = (q + unit for q in _COUPLINGS)
+    if gk not in section and gck not in section:
+        section.missing(f"coupling required: set {gk} (or {gck} / {gbk})")
 
     g_both = section.get_vector(gk, 1, scale) if gk in section else None
     g_charger = section.get_vector(gck, n, scale) if gck in section else g_both
     g_battery = section.get_vector(gbk, m, scale) if gbk in section else g_both
     if g_charger is None or g_battery is None:
         section.missing(f"both registers need couplings; set {gk} or both {gck} and {gbk}")
-    j_both = section.get_float(jk, None) if jk in section else None
-    if j_both is not None:
-        j_both *= scale
-    j_charger = section.get_matrix(jck, n, scale) if jck in section else (j_both or 0.0)
-    j_battery = section.get_matrix(jbk, m, scale) if jbk in section else (j_both or 0.0)
+    # a register with no coupling to the mode never charges, and has no timescale
+    for key, couplings in ((gck, g_charger), (gbk, g_battery)):
+        if not np.any(couplings):
+            section.fail(key if key in section else gk, "must be nonzero for some spin")
+
+    j_both = section.get_float(jk, 0.0) * scale or 0.0  # a signed zero reads as 0.0
+    j_charger = section.get_matrix(jck, n, scale) if jck in section else j_both
+    j_battery = section.get_matrix(jbk, m, scale) if jbk in section else j_both
     try:
         return SystemConfig(
             n_charger=n,
@@ -512,27 +498,17 @@ def _parse_system(section: _Section) -> SystemConfig | None:
 
 
 def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]]:
-    if not section.keys():
+    if not section.data:
         return None, ()
-    if _check_unit_family(section):
-        delta = section.get_float("delta", 1.0, nonzero=True)
-        if "g_over_delta" not in section:
-            section.missing("coupling required: set g_over_delta")
-        g = section.get_float("g_over_delta", nonzero=True) * delta
-        omega = section.get_float("omega_over_delta", 10.0, nonzero=True) * delta
-        omega_m = omega + delta
-        gammas = section.get_float_list("gamma_over_delta", (0.0,))
-        gammas = tuple(x * delta for x in gammas)
-    else:
-        g = section.get_float("g", None, nonzero=True)
-        omega = section.get_float("omega", None, nonzero=True)
-        omega_m = section.get_float("omega_m", None)
-        if g is None or omega is None or omega_m is None:
-            section.missing("raw-frequency configs require g, omega and omega_m")
-        gammas = section.get_float_list("gamma_noise", (0.0,))
-    for gamma in gammas:
-        if gamma < 0.0:
-            section.fail("gamma_over_delta" if "gamma_over_delta" in section else "gamma_noise", "noise strengths must be >= 0")
+    scale, unit, omega, omega_m = _units(section)
+    if "g" + unit not in section:
+        section.missing(f"coupling required: set g{unit}")
+    g = section.get_float("g" + unit, nonzero=True) * scale
+    # the raw noise strength is gamma_noise, not a bare gamma
+    gamma_key = "gamma_over_delta" if unit else "gamma_noise"
+    gammas = tuple(x * scale for x in section.get_float_list(gamma_key, (0.0,)))
+    if min(gammas) < 0.0:
+        section.fail(gamma_key, "noise strengths must be >= 0")
     try:
         template = QsdParams(g=g, omega=omega, omega_m=omega_m, gamma_noise=0.0)
     except ValueError as exc:
@@ -822,16 +798,9 @@ def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:
 
     def one(point):
         model, n, m, j = point
-        config = SystemConfig(
-            n_charger=n,
-            m_battery=m,
-            omega=base.omega,
-            omega_m=base.omega_m,
-            g_charger=base.g_charger[0],
-            g_battery=base.g_battery[0],
-            j_charger=j,
-            j_battery=j,
-            fock_cutoff=base.fock_cutoff,
+        config = replace(
+            base, n_charger=n, m_battery=m, g_charger=base.g_charger[0], g_battery=base.g_battery[0],
+            j_charger=j, j_battery=j,
         )
         horizon = spec.horizon
         if horizon is None:

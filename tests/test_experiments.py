@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -88,6 +89,54 @@ def test_unknown_section_and_key_carry_line_numbers():
         parse_config(bad_key)
 
 
+# the one-line form each equivalent layout must reproduce
+GRAMMAR = """\
+[run]
+mode = simulate-full
+
+[system]
+n_charger = 2
+g_over_delta = 0.1
+j_charger_over_delta = 0 0.01; 0.01 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (GRAMMAR + "g_over_delta = 0.2\n", r"line 8: \[system\] g_over_delta: repeated key \(first at line 6\)"),
+        (GRAMMAR + "\n[run]\n", r"line 9: repeated section \[run\] \(first at line 1\)"),
+        ("n_charger = 2\n" + GRAMMAR, r"line 1: key 'n_charger' comes before the first \[section\] header"),
+        (GRAMMAR + "fock_cutoff: 2\n", r"line 8: expected \[section\] or key = value, got 'fock_cutoff: 2'"),
+        (GRAMMAR.replace("mode = simulate-full", "mode = simulate-full\nverbose"), r"line 3: expected \[section\]"),
+        # a blank line ends a continuation, so the second row stands alone
+        (GRAMMAR.replace("0.01; 0.01 0", "0.01;\n\n    0.01 0"), r"line 9: expected \[section\] or key = value, got '0.01 0'"),
+        (GRAMMAR.replace("0.01; 0.01 0", "0.01;\n    0.01 0  # second row"), None),
+        (GRAMMAR.replace("g_over_delta = 0.1", "g_over_delta = 0.1  # the mode coupling"), None),
+        (GRAMMAR.replace("[system]", "[ system ]"), None),
+    ],
+    ids=[
+        "repeated-key", "repeated-section", "key-before-header", "colon-delimiter", "bare-word",
+        "blank-ends-continuation", "continuation", "inline-comment", "spaced-header",
+    ],
+)
+def test_reader_grammar(text, error):
+    if error is not None:
+        with pytest.raises(ConfigError, match=error):
+            parse_config(text)
+        return
+    got, want = parse_config(text).system, parse_config(GRAMMAR).system
+    for field in dataclasses.fields(SystemConfig):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def test_import_does_not_load_configparser():
+    code = "import sys, magnon_battery.cli; print('configparser' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_default_section_rejected():
     with pytest.raises(ConfigError, match="DEFAULT"):
         parse_config("[DEFAULT]\nx = 1\n" + MINIMAL)
@@ -120,6 +169,8 @@ j = 0.01
     missing = text.replace("omega_m = 7.5\n", "")
     with pytest.raises(ConfigError, match="omega and omega_m"):
         parse_config(missing)
+    # the raw mode frequency may be 0, in [system] as in [noise]
+    assert parse_config(text.replace("omega_m = 7.5", "omega_m = 0.0")).system.omega_m == 0.0
 
 
 def test_coupling_required():
@@ -671,6 +722,8 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert "does not take --config" in capsys.readouterr().err
     assert main(["simulate-full", "--config", str(tmp_path / "missing.ini")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+    assert main(["fig2", "--out", str(tmp_path / "no" / "such" / "fig2.csv")]) == 1
+    assert "cannot write output" in capsys.readouterr().err
     bad = tmp_path / "bad.ini"
     bad.write_text("[system]\nnonsense = 1\n")
     assert main(["simulate-full", "--config", str(bad)]) == 1
@@ -684,6 +737,26 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     # like [run] tol, the command-line tolerance must be finite
     assert main(["simulate-effective", "--config", str(cfg), "--tol", "inf"]) == 1
     assert "--tol must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, extra, key, line",
+    [
+        ("simulate-effective", "", "g_over_delta", 6),
+        ("sweep-n", "\n[sweep]\nn_max = 2\n", "g_over_delta", 6),
+        ("simulate-effective", "", "g_battery_over_delta", 7),
+    ],
+    ids=["simulate-effective", "sweep-n", "battery-register"],
+)
+def test_cli_zero_coupling_exits_1(tmp_path, capsys, mode, extra, key, line):
+    # the coupling sets the default horizon and, set or not, the power unit
+    for horizon in ("", "horizon = 1.0\n"):
+        system = "g_over_delta = 0.0\n" if key == "g_over_delta" else "g_over_delta = 0.1\n" + key + " = 0.0\n"
+        path = tmp_path / "zero.ini"
+        path.write_text(f"[run]\nmode = {mode}\nsamples = 11\n{horizon}\n[system]\n{system}{extra}")
+        assert main([mode, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line + bool(horizon)}: [system] {key}: must be nonzero" in err, err
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
@@ -710,15 +783,20 @@ def test_cli_bug_is_not_a_numerical_failure(monkeypatch, capsys):
     assert "numerical failure" not in capsys.readouterr().err
 
 
-def test_python_m_entry_point():
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "magnon_battery", "--help"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
