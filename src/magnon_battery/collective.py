@@ -1,25 +1,27 @@
-"""Collective angular-momentum picture of the sweet-spot dynamics.
+"""Collective angular-momentum picture of the charging dynamics.
 
-For a config uniform within each register, a register of N spins
-behaves as one angular momentum j = N/2 and the fully charged initial
-state lives in the maximal-j (symmetric) irrep.  That irrep is a
-register of capacity K = N in a ``SectorBasis`` of 3-column labels
-``(n_C, 0, n_B)``.  The collective model is the effective model on
-those registers, at any J: ``build_effective_hamiltonian(config,
-basis)`` builds it, and the experiment modes run it that way.  The
-conserved n_C + n_B = N cuts the problem down to min(N, M)+1 states,
-which is what makes large-register sweeps cheap.
+A class of K spins with the same g and the same J to every other spin
+(``SystemConfig._classes``) behaves as one angular momentum j = K/2,
+and the fully charged initial state lives in its maximal-j (symmetric)
+irrep.  That irrep is a register of capacity K in a ``SectorBasis``.
+The collective model is the effective model on the class registers of
+a config, at cutoff 0 and at any J: ``build_effective_hamiltonian(config,
+basis)`` builds it, and the experiment modes run it that way.  A config
+uniform within each register has one class per side, labels
+``(n_C, 0, n_B)``, and the conserved n_C + n_B = N cuts the problem down
+to min(N, M)+1 states, which is what makes large-register sweeps cheap.
 
-``build_collective_hamiltonian`` is the sweet-spot reference: at
-J = -G the intra-register terms cancel and the model is the bare
-flip-flop G (J-_C J+_B + J+_C J-_B), built here from G alone.  The one
-assembler puts the ladder factors sqrt(n(K-n+1)) and sqrt((n+1)(K-n))
-on each charger-battery hop.  Tests and acceptance checks compare the
-register models against it and against ``dicke_embed``, which expands
-register amplitudes over the per-spin states.
+``build_collective_hamiltonian`` is the sweet-spot reference on one
+register per side: at J = -G the intra-register terms cancel and the
+model is the bare flip-flop G (J-_C J+_B + J+_C J-_B), built here from G
+alone.  The one assembler puts the ladder factors sqrt(n(K-n+1)) and
+sqrt((n+1)(K-n)) on each charger-battery hop.  Tests and acceptance
+checks compare the register models against it and against
+``dicke_embed``, which expands amplitudes over one register per side
+into the per-spin states.
 
-Only the symmetric sector is represented here; the model never leaves
-it when started from a symmetric product state.
+Only the symmetric sector of each class is represented; the model never
+leaves it when started from a symmetric product state.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .hilbert import (
     HamiltonianMatrix,
     StateVector,
     _assemble,
-    _capacity,
-    _register_sector,
+    _sector,
     charged_initial_state,
     enumerate_sector_basis,
 )
@@ -59,7 +60,8 @@ def build_collective_hamiltonian(
     """
     if n_charger < 1 or m_battery < 1:
         raise ValueError("register sizes must be positive")
-    basis = _register_sector(n_charger, m_battery, 0, n_charger)
+    sides = (tuple(range(n_charger)), tuple(range(n_charger, n_charger + m_battery)))
+    basis = _sector(sides, n_charger, 0, n_charger)
     exchange = np.array([[0.0, coupling], [coupling, 0.0]])
     return HamiltonianMatrix(_assemble(basis, None, None, exchange), basis)
 
@@ -74,8 +76,8 @@ def dicke_embed(state: StateVector) -> StateVector:
     """
     basis = state.basis
     n, m, cutoff = basis.n_charger, basis.m_battery, basis.cutoff
-    if basis._capacity.tolist() != _capacity(n, m, cutoff, per_spin=False):
-        raise TypeError("dicke_embed expects amplitudes over symmetric registers")
+    if [len(c) for c in basis._classes] != [n, m]:
+        raise TypeError("dicke_embed expects amplitudes over symmetric registers, one per side")
     target = enumerate_sector_basis(n, m, cutoff, basis.n_excitations)
     n_c, n_m, n_b = basis._counts()
     binom_c = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)

@@ -7,13 +7,15 @@ splitting ``omega``, exchange excitations through one bosonic mode at
 flip-flop matrices ``j_charger`` / ``j_battery``.  All couplings are
 excitation-conserving (rotating-wave form), so the detuning
 ``omega_m - omega`` is the only frequency combination that matters for
-in-sector dynamics.
+in-sector dynamics.  ``SystemConfig._classes`` splits each register into
+exact symmetry classes of spins, the registers of every class basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,27 +158,31 @@ class SystemConfig:
             fock_cutoff=fock_cutoff,
         )
 
-    def _registers(self):
-        """((g_C, J_C), (g_B, J_B)) if each register is uniform, else None.
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        """Exact symmetry classes of the spins (chargers 0..N-1, battery N..N+M-1).
 
-        Uniform means every spin of the register has exactly the same g
-        and every pair of it exactly the same J; then the register keeps
-        to its symmetric irrep.  A single spin has no pair; its J is
-        reported as 0.  This is the one uniformity rule of the package.
+        Two spins of one register share a class when they have exactly the
+        same g and the same J to every other spin of it, with no tolerance.
+        That is an equivalence, so each spin is compared with the first
+        member of each class only; every pair inside a class has one J.
+        This is the one symmetry rule of the package, worked out once per config.
         """
-        registers = []
-        for g, j in ((self.g_charger, self.j_charger), (self.g_battery, self.j_battery)):
-            pairs = set(j[np.triu_indices(len(g), 1)].tolist())
-            if len(set(g)) > 1 or len(pairs) > 1:
-                return None
-            registers.append((g[0], pairs.pop() if pairs else 0.0))
-        return tuple(registers)
+        classes, offset = [], 0
+        for g, j in (self.g_charger, self.j_charger), (self.g_battery, self.j_battery):
+            g, left = np.array(g), np.arange(len(g))
+            while left.size:
+                f = left[0]
+                # the rows of s and f differ at s and f alone when J_sf != 0
+                mismatched = (j[left] != j[f]).sum(axis=1) - 2 * (j[left, f] != 0)
+                joins = (mismatched == 0) & (g[left] == g[f])
+                classes.append(tuple((offset + left[joins]).tolist()))
+                left = left[~joins]
+            offset += len(g)
+        return tuple(classes)
 
     def is_uniform(self) -> bool:
         """True when every spin has the same g and every pair the same J."""
-        registers = self._registers()
-        if registers is None:
-            return False
-        (g_c, j_c), (g_b, j_b) = registers
-        both_paired = self.n_charger > 1 and self.m_battery > 1
-        return g_c == g_b and (j_c == j_b or not both_paired)
+        paired = min(self.n_charger, self.m_battery) > 1
+        one_j = not paired or self.j_charger[0, -1] == self.j_battery[0, -1]
+        return len(self._classes) == 2 and self.g_charger[0] == self.g_battery[0] and one_j

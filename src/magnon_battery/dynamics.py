@@ -229,8 +229,8 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
 
     The default energy observable counts excited battery spins only;
     this diagnostic adds the intra-battery exchange expectation, which
-    every closed-form result drops.  On symmetric registers the exchange
-    term is J_B n_B(M - n_B).
+    every closed-form result drops.  On a battery register of K spins
+    holding n, its own exchange term is J n(K - n).
     """
     _, exchange = _check_compatible(config, basis)
     exchange[: basis._mode] = 0.0  # keep the battery registers' exchange only

@@ -8,10 +8,10 @@ form on top of its direct exchange J.  With the mode above the spins
 the induced coupling is negative, so choosing J = -G cancels the
 intra-register terms entirely (the sweet spot).
 
-One builder makes the model on either layout of the full model's
-registers: one register per spin, or one symmetric register per side
-for a config uniform within each register (the collective model).  It
-reads the same per-register couplings g and exchange as the full model
+One builder makes the model on any class layout of the full model's
+registers: one register per spin, or one symmetric register per
+symmetry class of the config (the collective model).  It reads the
+same per-register couplings g and exchange as the full model
 and hands the flip-flop matrix exchange + g g^T / (omega - omega_m) to
 the one assembler, with no diagonal and no mode term.  The per-spin
 matrices of ``effective_couplings`` come from the same expression.
@@ -57,7 +57,7 @@ class EffectiveCouplings:
         """The single G of a uniform configuration.
 
         Every charger-battery pair must hold exactly the same float, with
-        no tolerance, as in ``SystemConfig._registers``.  Otherwise this
+        no tolerance, as in ``SystemConfig._classes``.  Otherwise this
         raises, and the message lists the pairs so the caller can pick
         per-pair values.
         """
@@ -111,9 +111,9 @@ def build_effective_hamiltonian(
     G + J.  Free energies are dropped (they are constant within an
     excitation sector and only contribute a global phase).  The basis
     defaults to the per-spin sector reached from the fully charged
-    initial state, N excitations and cutoff 0.  A basis of one column
-    per register needs a config that is uniform within each register.
-    The model has no mode, so ``config.fock_cutoff`` is not checked.
+    initial state, N excitations and cutoff 0.  Each register of the
+    basis must lie inside one symmetry class of the config.  The model
+    has no mode, so ``config.fock_cutoff`` is not checked.
     """
     _warn_if_not_dispersive(config)
     if basis is None:

@@ -6,7 +6,8 @@ key's line, so every error names its line.  ``_units`` gives [system]
 and [noise] one rule: frequencies in units of the detuning via
 ``*_over_delta`` keys (``delta`` setting the scale) or raw (``g``,
 ``omega``, ``omega_m``), never both in one section.  The charger-battery
-coupling must be nonzero, since it sets every time and power unit.
+coupling G must be nonzero with a finite 1/|G| (``_check_induced``),
+since it sets every time and power unit.
 
 Named presets expand to ordinary config texts, so a preset run and a
 hand-written config follow the same code path and the CSV header can
@@ -26,10 +27,12 @@ and an array cell giving one float per row.  ``_csv_rows`` alone formats
 floats, as the repr of a Python float.
 
 A trajectory model is a builder, a layout and a cutoff.  ``full`` is
-the full model, on one symmetric register per side when each register
-is uniform, else per spin.  ``effective`` is the dispersive model per
-spin, and ``collective`` the same builder on symmetric registers; like
-every model it runs at the J it is given.
+the full model and ``collective`` the dispersive model at cutoff 0,
+both on one symmetric register per symmetry class of the config
+(``SystemConfig._classes``): one per side for a uniform config, one per
+spin for a fully disordered one, and anything in between for partly
+equal couplings.  ``effective`` is the dispersive model per spin.  Like
+every model, each runs at the J it is given.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .config import SystemConfig
 from .dynamics import Trajectory, charging_horizon, charging_metrics, evolve
 from .effective import build_effective_hamiltonian, effective_couplings
 from .hilbert import (
-    _register_sector,
+    _sector,
     build_full_hamiltonian,
     charged_initial_state,
     enumerate_sector_basis,
@@ -473,16 +476,14 @@ def _parse_system(section: _Section) -> SystemConfig | None:
     g_battery = section.get_vector(gbk, m, scale) if gbk in section else g_both
     if g_charger is None or g_battery is None:
         section.missing(f"both registers need couplings; set {gk} or both {gck} and {gbk}")
-    # a register with no coupling to the mode never charges, and has no timescale
-    for key, couplings in ((gck, g_charger), (gbk, g_battery)):
-        if not np.any(couplings):
-            section.fail(key if key in section else gk, "must be nonzero for some spin")
+    # the weaker register limits the induced coupling
+    weaker = min((np.max(np.abs(g_charger)), gck), (np.max(np.abs(g_battery)), gbk))[1]
 
     j_both = section.get_float(jk, 0.0) * scale or 0.0  # a signed zero reads as 0.0
     j_charger = section.get_matrix(jck, n, scale) if jck in section else j_both
     j_battery = section.get_matrix(jbk, m, scale) if jbk in section else j_both
     try:
-        return SystemConfig(
+        config = SystemConfig(
             n_charger=n,
             m_battery=m,
             omega=omega,
@@ -495,6 +496,14 @@ def _parse_system(section: _Section) -> SystemConfig | None:
         )
     except ValueError as exc:
         raise ConfigError(f"[{section.name}]: {exc}") from None
+    _check_induced(section, weaker if weaker in section else gk, _coupling_scale(config))
+    return config
+
+
+def _check_induced(section: _Section, key: str, induced: float) -> None:
+    """The induced coupling |G| sets every time and power unit: |G| and 1/|G| must be finite."""
+    if not (0.0 < induced < math.inf and math.isfinite(1.0 / induced)):
+        section.fail(key, f"must be nonzero, with |G| and 1/|G| finite; induced |G| = {induced!r}")
 
 
 def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]]:
@@ -503,16 +512,19 @@ def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]
     scale, unit, omega, omega_m = _units(section)
     if "g" + unit not in section:
         section.missing(f"coupling required: set g{unit}")
-    g = section.get_float("g" + unit, nonzero=True) * scale
-    # the raw noise strength is gamma_noise, not a bare gamma
+    g = section.get_float("g" + unit) * scale
+    # the raw noise strength is gamma_noise, not a bare gamma; a rate scales by |delta|
     gamma_key = "gamma_over_delta" if unit else "gamma_noise"
-    gammas = tuple(x * scale for x in section.get_float_list(gamma_key, (0.0,)))
+    gammas = tuple(x * abs(scale) for x in section.get_float_list(gamma_key, (0.0,)))
     if min(gammas) < 0.0:
         section.fail(gamma_key, "noise strengths must be >= 0")
     try:
         template = QsdParams(g=g, omega=omega, omega_m=omega_m, gamma_noise=0.0)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}]: {exc}") from None
+    if template.delta == 0.0:
+        section.missing("the mode must be detuned (omega_m != omega)")
+    _check_induced(section, "g" + unit, g**2 / abs(template.delta))
     return template, gammas
 
 
@@ -592,8 +604,6 @@ def _validate_mode(spec: ExperimentSpec) -> None:
     if spec.mode == "qsd":
         if spec.noise is None:
             raise ConfigError("mode 'qsd' requires a [noise] section")
-        if spec.noise.delta == 0.0:
-            raise ConfigError("[noise]: the mode must be detuned (omega_m != omega)")
         return
     system = spec.system
     if system is None:
@@ -622,12 +632,6 @@ def _at_sweet_spot(j: float, g: float) -> bool:
     return abs(j + g) <= abs(g) * 1e-9
 
 
-def _uniform_j(config: SystemConfig) -> float:
-    """The J of a uniform config: the charger's if it has a pair, else the battery's."""
-    (_, j_c), (_, j_b) = config._registers()
-    return j_c if config.n_charger >= 2 else j_b
-
-
 def _exchange_values(spec: ExperimentSpec) -> tuple[float, ...]:
     """J of each exchange setting a sweep or compare asks for, in grid order."""
     if spec.mode in ("sweep-n", "sweep-nm"):
@@ -635,7 +639,8 @@ def _exchange_values(spec: ExperimentSpec) -> tuple[float, ...]:
         return tuple(0.0 if name == "zero" else sweet for name in spec.exchanges)
     if spec.j_values is not None:
         return spec.j_values
-    return (_uniform_j(spec.system),)
+    config = spec.system  # the J of a uniform config: the charger's if it has a pair
+    return (float(config.j_charger[0, -1] if config.n_charger >= 2 else config.j_battery[0, -1]),)
 
 
 def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -644,7 +649,7 @@ def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
         raise ConfigError("closed forms exist only for uniform couplings")
     g = _induced(config)
     n, m = config.n_charger, config.m_battery
-    (_, j_c), (_, j_b) = config._registers()
+    j_c, j_b = config.j_charger[0, -1], config.j_battery[0, -1]  # 0 for a single spin
 
     if (n, m) == (1, 1):
         return e_one_one(g, times)
@@ -674,18 +679,19 @@ def _trajectory(model: str, config: SystemConfig, times: np.ndarray, tol: float)
         return Trajectory(
             times=times, energy=energy, power=power, norm=np.ones_like(energy)
         )
-    # a builder, a layout (one symmetric register per side, or one per spin)
-    # and a cutoff; the full model takes registers wherever the config allows
+    # a builder, a layout (one register per symmetry class, or per spin) and a cutoff
     n = config.n_charger
     if model == "full":
-        build, registers = build_full_hamiltonian, config._registers() is not None
+        build = build_full_hamiltonian
         cutoff = n if config.fock_cutoff is None else config.fock_cutoff
     elif model in ("effective", "collective"):
-        build, registers, cutoff = build_effective_hamiltonian, model == "collective", 0
+        build, cutoff = build_effective_hamiltonian, 0
     else:
         raise ConfigError(f"unknown model {model!r}")
-    sector = _register_sector if registers else enumerate_sector_basis
-    basis = sector(n, config.m_battery, cutoff, n)
+    if model == "effective":  # per spin: fig4's J = 0 curves have two equal peaks
+        basis = enumerate_sector_basis(n, config.m_battery, cutoff, n)
+    else:
+        basis = _sector(config._classes, n, cutoff, n)
     return evolve(build(config, basis), charged_initial_state(basis), times, tol=tol)
 
 
@@ -762,8 +768,7 @@ def _run_qsd(spec: ExperimentSpec):
     template = spec.noise
     horizon = spec.horizon
     if horizon is None:
-        induced = template.g**2 / abs(template.delta)
-        horizon = 2.5 * math.pi / induced
+        horizon = 2.5 * math.pi / (template.g**2 / abs(template.delta))
     times = _time_grid(spec, horizon)
 
     def one(gamma):
@@ -774,7 +779,7 @@ def _run_qsd(spec: ExperimentSpec):
     blocks = [(f.times, f.calf.real, f.calf.imag, f.energy / template.omega) for f in solutions]
     if len(spec.gammas) > 1:
         columns = ["gamma_over_delta"] + columns
-        blocks = [(_fmt(gamma / template.delta),) + b for gamma, b in zip(spec.gammas, blocks)]
+        blocks = [(_fmt(gamma / abs(template.delta)),) + b for gamma, b in zip(spec.gammas, blocks)]
     return columns, blocks
 
 

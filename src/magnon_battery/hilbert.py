@@ -2,23 +2,22 @@
 
 A basis is a set of occupation labels over *registers*: one column per
 charger register, one for the magnon number, one per battery register.
-A register of capacity K holds 0..K excitations.  The layout follows
-from the label width: N+M+1 columns make every spin its own register
-(K = 1, labels ``(c_1..c_N, n_magnon, b_1..b_M)``); 3 columns make each
-side one permutation-symmetric register of K = N or K = M spins (labels
-``(n_C, n_magnon, n_B)``, the Dicke states).  For N = M = 1 the two are
-the same.  The magnon number is bounded by a Fock cutoff.  Every model
+Each register is a class of spins, given explicitly as a tuple of spin
+numbers (chargers 0..N-1, battery N..N+M-1); a class of K spins holds
+0..K excitations in its symmetric states.  One class per spin gives the
+per-spin labels ``(c_1..c_N, n_magnon, b_1..b_M)``, one per side the
+Dicke labels ``(n_C, n_magnon, n_B)``, and any partition in between is
+allowed.  The magnon number is bounded by a Fock cutoff.  Every model
 here conserves the total excitation number, so dynamics started from a
 product state stays inside one sector; restricting the basis to that
 sector with cutoff equal to the excitation number is exact, not a
 truncation.
 
-The capacity vector of a layout is written once, in ``_capacity``:
-``[1]*N + [cutoff] + [1]*M`` per spin, ``[N, cutoff, M]`` per register.
-Every basis is enumerated by one walk, ``_sector``, over that vector:
-it emits the occupation rows that fit inside the capacities and sum to
-the excitation number (every row, for the composite basis), ordered
-descending-lexicographically.  That order puts the fully charged
+``_layout`` gives the capacity of each column: the class sizes, with
+the cutoff after the chargers.  One walk, ``_sector``, enumerates every
+basis over that vector: it emits the occupation rows that fit inside
+the capacities and sum to the excitation number (every row, for the
+composite basis), ordered descending-lexicographically.  That order puts the fully charged
 configuration first and makes every built matrix reproducible entry for
 entry.
 
@@ -40,13 +39,12 @@ register's exchange J among its own spins: on the symmetric irrep,
 sum_{i<j} (s+_i s-_j + h.c.) = S+S- - n, which adds J n(K-n) to the
 diagonal (nothing for a single spin, where it is skipped).
 
-The full and the effective model run on symmetric registers whenever a
-config is uniform within each register (``SystemConfig._registers``):
-every charger spin has the same g and every charger pair the same J,
-and likewise for the battery.  Each register then stays in its
-symmetric irrep, so the (n_C, n_magnon, n_B) sector is exact.  Any
-other config needs one register per spin.  ``_check_compatible`` reads
-a config's mode couplings and flip-flop matrix over either layout.
+A config splits its spins into exact symmetry classes
+(``SystemConfig._classes``).  The Hamiltonian and the charged initial
+state are symmetric under permutations within each class, so each class
+is an exact symmetric register (Shammah et al., PRA 98, 063815, 2018).
+``_check_compatible`` accepts a basis whose registers each lie inside
+one class of the config and reads the couplings off first members.
 """
 
 from __future__ import annotations
@@ -77,40 +75,30 @@ Label = tuple[int, ...]
 class SectorBasis:
     """Ordered set of occupation tuples closed under the model Hamiltonian.
 
-    ``n_excitations`` is the common excitation count of all labels, or
-    ``None`` for a composite (multi-sector) basis used in conservation
-    checks.  ``labels`` may be tuples or an integer array of one row per
-    label (an int64 array is kept, not copied).  Labels of N+M+1 columns
-    hold one spin each, labels of 3 columns one whole register each (see
-    the module docstring).  Only the array and its keys are stored: the
+    ``classes`` are the spin classes of the registers, charger classes
+    first (see the module docstring).  ``n_excitations`` is the common
+    excitation count of all labels, or ``None`` for a composite
+    (multi-sector) basis used in conservation checks.  ``labels`` may be
+    tuples or an integer array of one row per label (an int64 array is
+    kept, not copied).  Only the array and its keys are stored: the
     ``labels`` tuples are rebuilt on each read, and lookups go by key.
     """
 
-    def __init__(
-        self,
-        n_charger: int,
-        m_battery: int,
-        cutoff: int,
-        labels: tuple[Label, ...],
-        n_excitations: int | None,
-    ):
-        self.n_charger = int(n_charger)
-        self.m_battery = int(m_battery)
+    def __init__(self, classes, n_charger: int, cutoff: int, labels, n_excitations: int | None):
         self.cutoff = int(cutoff)
         self.n_excitations = n_excitations
-        n, m = self.n_charger, self.m_battery
+        capacity, self._mode = _layout(classes, n_charger, self.cutoff)
+        self._classes = tuple(map(tuple, classes))
+        self.n_charger = int(n_charger)
+        self.m_battery = sum(map(len, self._classes)) - self.n_charger
         occ = np.asarray(labels, dtype=np.int64)
-        width = occ.shape[1] if occ.ndim == 2 else n + m + 1
-        if width not in (n + m + 1, 3):
+        width = occ.shape[1] if occ.ndim == 2 else len(capacity)
+        if width != len(capacity):
             raise ValueError(
-                f"labels have {width} columns; expected {n + m + 1} (one per spin) "
-                "or 3 (one per register)"
+                f"labels have {width} columns; expected {len(capacity)}, "
+                "one per register and one for the magnon"
             )
-        per_spin = width == n + m + 1
         occ = occ.reshape(len(occ), width)
-        # _mode is the magnon column; registers sit before and after it
-        self._mode = n if per_spin else 1
-        capacity = _capacity(n, m, self.cutoff, per_spin)
         self._capacity = np.array(capacity)
         if np.any((occ < 0) | (occ > self._capacity)):
             raise ValueError("label outside the spin and magnon occupation ranges")
@@ -243,16 +231,18 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _capacity(n_charger: int, m_battery: int, cutoff: int, per_spin: bool) -> list[int]:
-    """Capacity of each label column: one register per spin, or one per side."""
-    if per_spin:
-        return [1] * n_charger + [cutoff] + [1] * m_battery
-    return [n_charger, cutoff, m_battery]
+def _layout(classes, n_charger: int, cutoff: int) -> tuple[list[int], int]:
+    """Capacity of each label column, and the magnon column: one register per class."""
+    mode = sum(max(c) < n_charger for c in classes)
+    spins = sorted(s for c in classes for s in c)
+    if spins != list(range(len(spins))) or any(min(c) < n_charger for c in classes[mode:]):
+        raise ValueError("classes must split the spins into charger, then battery classes")
+    capacity = [len(c) for c in classes]
+    capacity.insert(mode, cutoff)
+    return capacity, mode
 
 
-def _sector(
-    n_charger: int, m_battery: int, cutoff: int, n_excitations: int | None, per_spin: bool
-) -> SectorBasis:
+def _sector(classes, n_charger: int, cutoff: int, n_excitations: int | None) -> SectorBasis:
     """The labels that sum to n_excitations (every label if None), descending lex order.
 
     The walk fills one column at a time, highest occupation first, and
@@ -265,7 +255,7 @@ def _sector(
         raise ValueError("cutoff must be non-negative")
     if n_excitations is not None and n_excitations < 0:
         raise ValueError("n_excitations must be non-negative")
-    capacity = _capacity(n_charger, m_battery, cutoff, per_spin)
+    capacity, _ = _layout(classes, n_charger, cutoff)
     room = sum(capacity)  # what the columns still to fill can hold
     low, high = (0, room) if n_excitations is None else (n_excitations, n_excitations)
     if low > room:
@@ -285,46 +275,40 @@ def _sector(
         values, parent = steps.pop()  # freed as read
         occ[:, col] = values[row]
         row = parent[row]
-    return SectorBasis(n_charger, m_battery, cutoff, occ, n_excitations)
+    return SectorBasis(classes, n_charger, cutoff, occ, n_excitations)
 
 
 def enumerate_sector_basis(
     n_charger: int, m_battery: int, cutoff: int, n_excitations: int
 ) -> SectorBasis:
-    """All occupation tuples with the given total excitation number.
+    """All per-spin occupation tuples with the given total excitation number.
 
     Raises if the sector is empty (more excitations than the registers
     and the magnon ladder can hold).
     """
-    return _sector(n_charger, m_battery, cutoff, n_excitations, per_spin=True)
-
-
-def _register_sector(
-    n_charger: int, m_battery: int, cutoff: int, n_excitations: int
-) -> SectorBasis:
-    """The labels (n_C, n_magnon, n_B) of one sector, descending lex order.
-
-    One symmetric register per side, so at most (N+1)(M+1) labels.
-    """
-    return _sector(n_charger, m_battery, cutoff, n_excitations, per_spin=False)
+    spins = tuple((s,) for s in range(n_charger + m_battery))
+    return _sector(spins, n_charger, cutoff, n_excitations)
 
 
 def enumerate_composite_basis(n_charger: int, m_battery: int, cutoff: int) -> SectorBasis:
-    """Union of all excitation sectors up to the Fock cutoff.
+    """Union of all per-spin excitation sectors up to the Fock cutoff.
 
     Exponentially large in N+M; intended for conservation checks on
     small registers, not for production sweeps.
     """
-    return _sector(n_charger, m_battery, cutoff, None, per_spin=True)
+    spins = tuple((s,) for s in range(n_charger + m_battery))
+    return _sector(spins, n_charger, cutoff, None)
 
 
 def _check_compatible(config: SystemConfig, basis: SectorBasis, mode: bool = True):
     """Mode couplings and flip-flop matrix of config over the registers of basis.
 
-    Raises if the register sizes differ, if the cutoff differs (for a
-    model with the mode; ``mode=False`` skips that check), or if the
-    basis has one column per register while config is not uniform
-    within each register.
+    Each register reads its g from its first spin, the J to another
+    register from the two first spins, and its own J from a pair inside
+    it (0 for a single spin).  Raises if the register sizes differ, if
+    the cutoff differs (for a model with the mode; ``mode=False`` skips
+    that check), or if a register joins spins of different symmetry
+    classes of config.
     """
     if (config.n_charger, config.m_battery) != (basis.n_charger, basis.m_battery):
         raise ValueError(
@@ -335,18 +319,19 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis, mode: bool = Tru
         raise ValueError(
             f"config fock_cutoff {config.fock_cutoff} does not match basis cutoff {basis.cutoff}"
         )
-    n, m = config.n_charger, config.m_battery
-    if basis._capacity.tolist() == _capacity(n, m, basis.cutoff, per_spin=True):
-        exchange = np.zeros((n + m, n + m))
-        exchange[:n, :n], exchange[n:, n:] = config.j_charger, config.j_battery
-        return config.g_charger + config.g_battery, exchange
-    registers = config._registers()
-    if registers is None:
+    classes = basis._classes
+    own = {s: k for k, members in enumerate(config._classes) for s in members}
+    if any(own[s] != own[c[0]] for c in classes for s in c):
         raise ValueError(
-            "basis has one column per register, but config couplings differ within a register"
+            "basis has one column per register, and a register joins spins whose couplings differ"
         )
-    (g_c, j_c), (g_b, j_b) = registers
-    return (g_c, g_b), np.diag([j_c, j_b])
+    n, m = config.n_charger, config.m_battery
+    exchange = np.zeros((n + m, n + m))
+    exchange[:n, :n], exchange[n:, n:] = config.j_charger, config.j_battery
+    first = [c[0] for c in classes]
+    flip_flop = exchange[np.ix_(first, first)]
+    np.fill_diagonal(flip_flop, [exchange[c[0], c[-1]] for c in classes])
+    return np.array(config.g_charger + config.g_battery)[first], flip_flop
 
 
 def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
@@ -433,8 +418,8 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
     exchange within each register, and spin-mode exchange with bosonic
     factors sqrt(n), sqrt(n+1).  Every off-diagonal term is emitted
     together with its conjugate partner, so the matrix is Hermitian by
-    construction.  A basis of one column per register needs a config
-    that is uniform within each register.
+    construction.  Each register of the basis must lie inside one
+    symmetry class of the config.
     """
     couplings, exchange = _check_compatible(config, basis)
     chargers, magnons, batteries = basis._counts()

@@ -4,7 +4,9 @@ Nothing in the package calls these.  ``second_order_coupling`` derives
 the induced coupling G = g g' / (omega - omega_m) from perturbation
 theory on any matrix, without the dispersive formula; the ``state_*``
 functions are the closed-form amplitudes of the analytic models, which
-``evolve(keep_states=True)`` must reproduce.
+``evolve(keep_states=True)`` must reproduce.  ``class_isometry`` embeds
+symmetric class registers into per-spin states from the labels alone.
+``per_side`` names the classes of one register per side.
 """
 
 import math
@@ -13,6 +15,32 @@ import numpy as np
 
 from magnon_battery import HamiltonianMatrix
 from magnon_battery.analytic import two_to_one_spectrum
+
+
+def per_side(n_charger: int, m_battery: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Spin classes of one symmetric register per side (the Dicke layout)."""
+    return tuple(range(n_charger)), tuple(range(n_charger, n_charger + m_battery))
+
+
+def class_isometry(classes, n_charger: int, class_labels, spin_labels) -> np.ndarray:
+    """V: one row per spin label, one column per class label, each a symmetric state.
+
+    ``classes`` are tuples of spin numbers (chargers 0..N-1, then the
+    battery) in the column order of the class labels, whose magnon
+    column follows the charger classes.  Spin labels hold one column per
+    spin with the magnon after the chargers.  A column spreads equal
+    weight over every spin label with its class counts and magnon number.
+    """
+    spins = np.array(spin_labels)
+    bits = np.delete(spins, n_charger, axis=1)
+    counts = np.stack([bits[:, list(c)].sum(axis=1) for c in classes], axis=1)
+    chargers = sum(max(c) < n_charger for c in classes)
+    own = np.insert(counts, chargers, spins[:, n_charger], axis=1)
+    v = np.zeros((len(spins), len(class_labels)))
+    for col, label in enumerate(class_labels):
+        hit = np.all(own == label, axis=1)
+        v[hit, col] = 1.0 / math.sqrt(hit.sum())
+    return v
 
 
 def second_order_coupling(h0_energies, h_int, p: int, q: int) -> complex:

@@ -8,7 +8,9 @@ package's assembler, so every stored entry, explicit zero or not, is
 checked against an independent derivation.  The symmetric-register
 models (the collective model, the full model and the battery energy of
 a register-uniform config) are checked in turn against the per-spin
-models that these tests pin, through the Dicke embedding.
+models that these tests pin, through the Dicke embedding.  The models on
+mixed symmetry classes are checked against the projected Kronecker
+operators through an embedding built from the labels alone.
 """
 
 import numpy as np
@@ -27,7 +29,9 @@ from magnon_battery import (
     enumerate_composite_basis,
     enumerate_sector_basis,
 )
-from magnon_battery.hilbert import _register_sector
+from magnon_battery.hilbert import _sector
+
+from helpers import class_isometry, per_side
 
 RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0| on occupations (0, 1)
 
@@ -160,7 +164,7 @@ def test_collective_is_effective_model_on_symmetric_registers(n, m, j_over_delta
     # Dicke states must be the effective model built on the registers, at
     # any J, and the sweet-spot reference model at J = -G (J/delta = 0.01)
     cfg = SystemConfig.dispersive(n, m, g_over_delta=0.1, j_over_delta=j_over_delta)
-    registers = build_effective_hamiltonian(cfg, _register_sector(n, m, 0, n))
+    registers = build_effective_hamiltonian(cfg, _sector(per_side(n, m), n, 0, n))
     per_spin = build_effective_hamiltonian(cfg)
     columns = [dicke_embed(basis_state(registers.basis, lab)) for lab in registers.basis.labels]
     assert all(col.basis.labels == per_spin.basis.labels for col in columns)
@@ -212,7 +216,7 @@ REGISTER_COUPLINGS = (
 def test_full_model_on_symmetric_registers(n, m, cutoff):
     # V^dag H_full V over the embedded Dicke states must be the full model
     # on the register sector, J n(K-n) diagonal included
-    basis = _register_sector(n, m, cutoff, n)
+    basis = _sector(per_side(n, m), n, cutoff, n)
     spins, v = _dicke_columns(basis)
     assert spins.labels == enumerate_sector_basis(n, m, cutoff, n).labels
     assert basis.dimension <= (n + 1) * (m + 1)
@@ -225,7 +229,7 @@ def test_full_model_on_symmetric_registers(n, m, cutoff):
 
 @pytest.mark.parametrize("n, m, cutoff", [(2, 2, 2), (3, 3, 1), (2, 4, 2), (4, 3, 4)])
 def test_battery_energy_on_symmetric_registers(n, m, cutoff):
-    basis = _register_sector(n, m, cutoff, n)
+    basis = _sector(per_side(n, m), n, cutoff, n)
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
     psi = StateVector(amps / np.linalg.norm(amps), basis)
@@ -276,3 +280,93 @@ def test_keys_beyond_63_bits():
     want = coupling * (np.ones((71, 71)) - np.eye(71))
     assert np.max(np.abs(h.toarray() - want)) <= 1e-15
     assert h.nnz == 71 * 70
+
+
+def _matrix(size, within, between, classes):
+    """Symmetric J: `within` inside each class of spin numbers, `between` elsewhere."""
+    j = np.full((size, size), between)
+    for members in classes:
+        j[np.ix_(members, members)] = within[members[0]]
+    np.fill_diagonal(j, 0.0)
+    return j
+
+
+# (N, M, g_C, g_B, J_C, J_B) and the classes they fall into, spins numbered
+# chargers first: a class that is not contiguous, a singleton beside a larger
+# class, and classes whose inner J differs from the J between them
+MIXED = {
+    "non-contiguous": (
+        3, 3, (0.1, 0.12, 0.1), 0.1,
+        _matrix(3, {0: 0.03}, 0.01, [(0, 2)]), _matrix(3, {0: 0.02}, 0.01, [(0, 2)]),
+        ((0, 2), (1,), (3, 5), (4,)),
+    ),
+    "singleton-beside-class": (
+        4, 2, (0.1, 0.1, 0.1, 0.13), (0.09, 0.09),
+        _matrix(4, {0: 0.03}, 0.01, [(0, 1, 2)]), -0.02,
+        ((0, 1, 2), (3,), (4, 5)),
+    ),
+    "two-battery-classes": (
+        2, 4, 0.1, (0.1, 0.13, 0.1, 0.13),
+        0.02, _matrix(4, {0: 0.04, 1: -0.02}, 0.01, [(0, 2), (1, 3)]),
+        ((0, 1), (2, 4), (3, 5)),
+    ),
+}
+
+
+def _mixed(name):
+    n, m, g_c, g_b, j_c, j_b, classes = MIXED[name]
+    cfg = SystemConfig(
+        n_charger=n, m_battery=m, omega=10.0, omega_m=11.0,
+        g_charger=g_c, g_battery=g_b, j_charger=j_c, j_battery=j_b,
+    )
+    assert cfg._classes == classes
+    return cfg, classes
+
+
+@pytest.mark.parametrize("name", sorted(MIXED))
+def test_models_on_mixed_classes_are_projected_per_spin_models(name):
+    # V^dag H V over the symmetric states of each class must be the model
+    # built on the class registers, and H V = V H_class (the class span is
+    # closed): the full model at cutoff N and at cutoff 1, its battery
+    # energy, and the effective model
+    cfg, classes = _mixed(name)
+    n, m = cfg.n_charger, cfg.m_battery
+    rng = np.random.default_rng(11)
+    for cutoff in (n, 1):
+        basis = _sector(classes, n, cutoff, n)
+        spins = enumerate_sector_basis(n, m, cutoff, n).labels
+        v = class_isometry(classes, n, basis.labels, spins)
+        assert np.max(np.abs(v.T @ v - np.eye(basis.dimension))) <= 1e-15
+        assert basis.dimension < len(spins)
+        space, h = _full_operator(cfg, cutoff)
+        h = space.project(h, spins)
+        built = build_full_hamiltonian(cfg, basis).toarray()
+        assert np.max(np.abs(v.T @ h @ v - built)) <= 1e-12
+        assert np.max(np.abs(h @ v - v @ built)) <= 1e-12
+        amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+        psi = StateVector(amps / np.linalg.norm(amps), basis)
+        space, h_battery = _battery_operator(cfg, cutoff)
+        spread = v @ psi.amplitudes
+        want = np.vdot(spread, space.project(h_battery, spins) @ spread).real
+        assert battery_energy_full(psi, basis, cfg) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    basis = _sector(classes, n, 0, n)
+    effective = build_effective_hamiltonian(cfg)
+    v = class_isometry(classes, n, basis.labels, effective.basis.labels)
+    space, h = _effective_operator(cfg)
+    h = space.project(h, effective.basis.labels)
+    built = build_effective_hamiltonian(cfg, basis).toarray()
+    assert np.max(np.abs(v.T @ h @ v - built)) <= 1e-12
+    assert np.max(np.abs(h @ v - v @ built)) <= 1e-12
+
+
+def test_register_across_two_classes_rejected():
+    cfg, _ = _mixed("non-contiguous")
+    # spins 0 and 1 differ in g: no symmetric register holds both
+    basis = _sector(((0, 1), (2,), (3, 5), (4,)), 3, 3, 3)
+    with pytest.raises(ValueError, match="couplings differ"):
+        build_full_hamiltonian(cfg, basis)
+    with pytest.raises(ValueError, match="couplings differ"):
+        build_effective_hamiltonian(cfg, _sector(((0, 1), (2,), (3, 5), (4,)), 3, 0, 3))
+    # a class split further is still exact: spin 2 alone beside spin 0
+    finer = _sector(((0,), (1,), (2,), (3, 5), (4,)), 3, 3, 3)
+    assert build_full_hamiltonian(cfg, finer).dimension > _sector(cfg._classes, 3, 3, 3).dimension

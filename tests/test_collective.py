@@ -18,6 +18,8 @@ from magnon_battery import (
     evolve,
 )
 
+from helpers import per_side
+
 
 def test_dicke_basis_labels():
     # one column per register: (n_C, n_magnon, n_B), n_C descending
@@ -38,10 +40,10 @@ def test_dicke_basis_errors():
         build_collective_hamiltonian(0.01, 0, 1)
     # a register holds at most its own number of spins
     with pytest.raises(ValueError, match="occupation ranges"):
-        SectorBasis(2, 2, 0, ((3, 0, 0),), 3)
-    # labels are either one column per spin or one per register
+        SectorBasis(per_side(2, 2), 2, 0, ((3, 0, 0),), 3)
+    # labels hold one column per register, plus the magnon
     with pytest.raises(ValueError, match="columns"):
-        SectorBasis(2, 2, 0, ((2, 0),), 2)
+        SectorBasis(per_side(2, 2), 2, 0, ((2, 0),), 2)
 
 
 def test_collective_hamiltonian_two_to_two():
@@ -67,7 +69,7 @@ def test_collective_charged_state():
     psi = collective_charged_state(basis)
     assert psi.amplitudes[0] == 1.0
     # a sector of the symmetric registers that the charged state is not in
-    other = SectorBasis(2, 2, 0, ((1, 0, 0), (0, 0, 1)), 1)
+    other = SectorBasis(per_side(2, 2), 2, 0, ((1, 0, 0), (0, 0, 1)), 1)
     with pytest.raises(ValueError, match="outside this basis"):
         collective_charged_state(other)
 

@@ -104,6 +104,48 @@ def test_is_uniform():
     assert not split.is_uniform()
 
 
+def _pairwise_classes(g, j, offset):
+    """Classes of the definition itself: s ~ f when g and every J_sk = J_fk, k != s, f."""
+    same = [
+        [g[s] == g[f] and all(j[s, k] == j[f, k] for k in range(len(g)) if k not in (s, f))
+         for f in range(len(g))]
+        for s in range(len(g))
+    ]
+    firsts = sorted({row.index(True) for row in same})
+    return [tuple(offset + s for s in range(len(g)) if same[s].index(True) == f) for f in firsts]
+
+
+def test_classes_follow_the_pairwise_rule():
+    # registers drawn from a few class values, a ulp apart now and then,
+    # with signed zeros: the partition is the equivalence of the definition
+    rng = np.random.default_rng(4)
+    mixed = 0
+    for _ in range(300):
+        n, m = rng.integers(1, 7, size=2)
+        registers = []
+        for size in (n, m):
+            kind = rng.integers(0, 3, size)
+            g = np.array([0.1, 0.12, 0.1])[kind]
+            table = rng.choice([0.0, -0.0, 0.01, 0.03], size=(3, 3))
+            table = np.where(np.arange(3)[:, None] <= np.arange(3), table, table.T)
+            j = table[np.ix_(kind, kind)]
+            if rng.random() < 0.3:
+                s, t = rng.integers(0, size, 2)
+                if s != t:
+                    j[s, t] = j[t, s] = np.nextafter(j[s, t], 1.0)
+            registers.append((g, j))
+        (g_c, j_c), (g_b, j_b) = registers
+        cfg = SystemConfig(
+            n_charger=n, m_battery=m, omega=10.0, omega_m=11.0,
+            g_charger=g_c, g_battery=g_b, j_charger=j_c, j_battery=j_b,
+        )
+        want = _pairwise_classes(cfg.g_charger, cfg.j_charger, 0)
+        want += _pairwise_classes(cfg.g_battery, cfg.j_battery, n)
+        assert cfg._classes == tuple(want)
+        mixed += 2 < len(want) < n + m
+    assert mixed > 100
+
+
 def test_frozen():
     cfg = SystemConfig.dispersive(1, 1, g_over_delta=0.1)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -533,6 +533,34 @@ j_values_over_delta = 0.0, 0.01, 0.05
     assert len(dims) == 4 and max(dims) <= (n + 1) * (m + 1)
 
 
+def test_full_runs_on_mixed_classes(monkeypatch):
+    # couplings equal only in part: the charger spins 0 and 2 form one class
+    # (not contiguous), as do the battery spins 0 and 2; simulate-full runs
+    # on the four class registers and matches the per-spin model
+    dims = _record_dims(monkeypatch)
+    text = """\
+[run]
+mode = simulate-full
+samples = 201
+
+[system]
+n_charger = 3
+m_battery = 3
+g_charger_over_delta = 0.1, 0.12, 0.1
+g_battery_over_delta = 0.1
+j_charger_over_delta = 0 0.01 0.03; 0.01 0 0.01; 0.03 0.01 0
+j_battery_over_delta = 0 0.01 0.02; 0.01 0 0.01; 0.02 0.01 0
+"""
+    spec = parse_config(text)
+    assert spec.system._classes == ((0, 2), (1,), (3, 5), (4,))
+    rows = np.array(_table(run_experiment(spec)), dtype=float)
+    want = _per_spin_full(spec.system, rows[:, 0])
+    assert np.max(np.abs(rows[:, 1] - want.energy)) <= 1e-10
+    assert np.max(np.abs(rows[:, 3] - want.norm)) <= 1e-10
+    assert np.max(np.abs(rows[:, 4] - want.magnon)) <= 1e-10
+    assert len(dims) == 1 and dims[0] < enumerate_sector_basis(3, 3, 3, 3).dimension
+
+
 def test_full_sweep_beyond_forty_spins(monkeypatch):
     # every sweep point is uniform, so N + M = 40 runs on symmetric registers
     dims = _record_dims(monkeypatch)
@@ -757,6 +785,52 @@ def test_cli_zero_coupling_exits_1(tmp_path, capsys, mode, extra, key, line):
         assert main([mode, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"line {line + bool(horizon)}: [system] {key}: must be nonzero" in err, err
+
+
+@pytest.mark.parametrize(
+    "mode, section, key, line",
+    [
+        ("simulate-effective", "[system]\ng_over_delta = 1e-200\n", "g_over_delta", 6),
+        ("simulate-effective", "[system]\ng_over_delta = 1e-160\n", "g_over_delta", 6),
+        ("simulate-effective", "[system]\ng_over_delta = 0.1\ng_battery_over_delta = 1e-310\n",
+         "g_battery_over_delta", 7),
+        ("qsd", "[noise]\ng_over_delta = 1e-200\n", "g_over_delta", 6),
+        ("qsd", "[noise]\ng = 1e-160\nomega = 10.0\nomega_m = 11.0\n", "g", 6),
+    ],
+    ids=["system-zero", "system-subnormal", "battery-subnormal", "noise-zero", "noise-raw-subnormal"],
+)
+def test_cli_underflowing_coupling_exits_1(tmp_path, capsys, mode, section, key, line):
+    # G = g g'/(omega - omega_m) that underflows to 0, or whose inverse
+    # overflows, leaves no time or power unit: a config error at its line
+    name = section[1:].split("]")[0]
+    path = tmp_path / "tiny.ini"
+    path.write_text(f"[run]\nmode = {mode}\nsamples = 11\n\n{section}")
+    assert main([mode, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"line {line}: [{name}] {key}: must be nonzero" in err, err
+
+
+def test_noise_rate_scales_by_the_magnitude_of_delta():
+    # delta -> -delta flips the sign of the mode detuning and of g; the
+    # noise strength is a rate, so it stays positive and E(t) stays the same
+    text = """\
+[run]
+mode = qsd
+samples = 201
+horizon = 300.0
+
+[noise]
+g_over_delta = 0.1
+delta = {delta}
+gamma_over_delta = 0.0, 0.02
+"""
+    up, down = (
+        np.array(_table(run_experiment(parse_config(text.format(delta=d)))), dtype=float)
+        for d in ("1.0", "-1.0")
+    )
+    assert np.array_equal(up[:, [0, 1, 2, 4]], down[:, [0, 1, 2, 4]])
+    assert np.array_equal(up[:, 3], -down[:, 3])
+    assert np.any(up[:, 3] != 0.0)
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):

@@ -18,7 +18,9 @@ from magnon_battery import (
     enumerate_sector_basis,
     total_excitation_operator,
 )
-from magnon_battery.hilbert import _register_sector
+from magnon_battery.hilbert import _sector
+
+from helpers import per_side
 
 
 def test_single_excitation_chain():
@@ -76,9 +78,41 @@ def test_sector_labels_match_product_enumeration():
             assert enumerate_sector_basis(n, m, cutoff, k).labels == tuple(
                 label for label in spins if sum(label) == k
             )
-            assert _register_sector(n, m, cutoff, k).labels == tuple(
+            assert _sector(per_side(n, m), n, cutoff, k).labels == tuple(
                 label for label in registers if sum(label) == k
             )
+    # mixed class capacities, contiguous or not, e.g. [2, 1] + [cutoff] + [1, 2]
+    mixed = [
+        (3, ((0, 1), (2,), (3,), (4, 5))),
+        (3, ((0, 2), (1,), (3, 5), (4,))),
+        (4, ((0,), (1, 2, 3), (4, 6), (5,))),
+        (2, ((0, 1), (2, 3, 4))),
+    ]
+    for (n, classes), cutoff in itertools.product(mixed, range(4)):
+        sizes = [len(c) for c in classes]
+        chargers = sum(max(c) < n for c in classes)
+        sizes.insert(chargers, cutoff)
+        product = list(itertools.product(*[range(k, -1, -1) for k in sizes]))
+        assert _sector(classes, n, cutoff, None).labels == tuple(product)
+        for k in range(sum(sizes) + 1):
+            assert _sector(classes, n, cutoff, k).labels == tuple(
+                label for label in product if sum(label) == k
+            )
+
+
+def test_classes_must_split_the_spins_by_side():
+    labels = ((1, 0, 0),)
+    for classes in (
+        ((0,), (2,)),  # spin 1 is missing
+        ((0, 1), (1,)),  # spin 1 twice
+        ((1,), (0,)),  # the battery class comes first
+        ((0, 1),),  # one class across both registers
+    ):
+        with pytest.raises(ValueError, match="split the spins"):
+            SectorBasis(classes, 1, 0, labels, 1)
+    # the width must be one column per class plus the magnon
+    with pytest.raises(ValueError, match="columns"):
+        SectorBasis(((0,), (1, 2)), 1, 0, ((1, 0, 0, 0),), 1)
 
 
 def test_sparse_sector_of_a_long_charger():
@@ -98,11 +132,11 @@ def test_empty_sector_rejected():
         enumerate_sector_basis(1, 1, -1, 0)
     # the register sector shares the per-spin validation
     with pytest.raises(ValueError, match="empty sector"):
-        _register_sector(1, 2, 0, 5)
+        _sector(per_side(1, 2), 1, 0, 5)
     with pytest.raises(ValueError, match="cutoff"):
-        _register_sector(2, 2, -1, 1)
+        _sector(per_side(2, 2), 2, -1, 1)
     with pytest.raises(ValueError, match="n_excitations"):
-        _register_sector(2, 2, 1, -1)
+        _sector(per_side(2, 2), 2, 1, -1)
 
 
 def test_composite_basis():
@@ -235,16 +269,16 @@ def test_state_vector_checks():
 
 def test_labels_outside_occupation_ranges_rejected():
     with pytest.raises(ValueError, match="occupation ranges"):
-        SectorBasis(1, 1, 1, ((0, 2, 0),), None)
+        SectorBasis(((0,), (1,)), 1, 1, ((0, 2, 0),), None)
     with pytest.raises(ValueError, match="occupation ranges"):
-        SectorBasis(1, 1, 1, ((2, 0, 0),), None)
+        SectorBasis(((0,), (1,)), 1, 1, ((2, 0, 0),), None)
 
 
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError, match="duplicate labels in basis"):
-        SectorBasis(2, 1, 1, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)), 1)
+        SectorBasis(((0,), (1,), (2,)), 2, 1, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)), 1)
     with pytest.raises(ValueError, match="duplicate labels in basis"):
-        SectorBasis(2, 1, 1, ((1, 0, 0), (1, 0, 0)), 1)
+        SectorBasis(per_side(2, 1), 2, 1, ((1, 0, 0), (1, 0, 0)), 1)
     # (0, 2, 0) has the key of (1, 0, 0); the range check names it first
     with pytest.raises(ValueError, match="occupation ranges"):
-        SectorBasis(1, 1, 1, ((1, 0, 0), (0, 2, 0)), None)
+        SectorBasis(((0,), (1,)), 1, 1, ((1, 0, 0), (0, 2, 0)), None)
