@@ -10,7 +10,9 @@ to an adaptive high-order Runge-Kutta integrator.  The integrator runs
 in the frame rotating at the mean diagonal energy, so it does not
 resolve the large constant phase of an excitation sector, and it walks
 the grid in slices so that its memory does not grow with the number of
-samples.
+samples.  ``scipy.integrate`` is imported on first use, by this module's
+``solve_ivp``: with ``scipy.optimize``, which it pulls in, it costs about
+0.4 s of import, and the dense path never needs it.
 
 Energies are reported as battery excitation numbers, i.e. in units of
 the spin splitting omega; times and powers are in raw model units.
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import SystemConfig
 from .hilbert import HamiltonianMatrix, SectorBasis, StateVector, _assemble, _check_compatible
@@ -132,6 +133,14 @@ def _observables(states: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarra
     probs = np.abs(states) ** 2
     magnon = probs @ magnon_diag if magnon_diag is not None else None
     return probs @ battery, probs.sum(axis=1), magnon
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call (one per
+    module, so that each module's calls can be wrapped apart)."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):

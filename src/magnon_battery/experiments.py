@@ -20,7 +20,9 @@ of the inverse induced coupling.
 
 Every mode is one row of the table ``_MODES``: its runner, its model (a
 trajectory mode) or default models (a sweep or compare), and whether it
-needs couplings uniform over every spin.  ``parse_config`` resolves
+needs couplings uniform over every spin.  Only the closed forms, the
+sweeps and compare do, since they read one induced coupling G or one J;
+the trajectory modes and qsd take any config.  ``parse_config`` resolves
 ``models`` from it once.  A runner returns the CSV columns and a list of
 blocks; a block is a tuple of cells, a str cell repeating down the block
 and an array cell giving one float per row.  ``_csv_rows`` alone formats
@@ -841,7 +843,7 @@ def _run_sweep(spec: ExperimentSpec):
 _MODES = {
     "simulate-full": (_run_trajectory, ("full",), False),
     "simulate-effective": (_run_trajectory, ("effective",), False),
-    "collective": (_run_trajectory, ("collective",), True),
+    "collective": (_run_trajectory, ("collective",), False),
     "analytic": (_run_trajectory, ("analytic",), True),
     "qsd": (_run_qsd, (), False),
     "sweep-n": (_run_sweep, ("effective",), True),

@@ -33,6 +33,11 @@ still open.  Frequency noise on the mode conserves the excitation
 number, so 1 - |a|^2 - |b|^2 is not population lost to a ground state:
 it is the mode's share of the averaged amplitude plus the part of the
 ensemble that has lost phase with the noiseless evolution.
+
+The integrator of solve_f12 and the root finder of the blow-up guard are
+imported on first use: ``scipy.integrate`` and ``scipy.optimize`` cost
+about 0.4 s of import, and solve_calF needs neither unless the quadratic
+terms run away.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 __all__ = [
     "QsdParams",
@@ -142,6 +145,14 @@ def _blowup(threshold: float, t: float) -> RiccatiBlowupError:
         f"coefficient magnitude crossed {threshold:g} at t={t:.12g}; "
         "the quadratic terms run away for these parameters"
     )
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call (one per
+    module, so that each module's calls can be wrapped apart)."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def solve_f12(params: QsdParams, t_grid, tol: float = DEFAULT_TOL):
@@ -262,6 +273,8 @@ def _blowup_time(gsq, r_a, kappa, threshold, t_end):
         if hits.size:
             k = hits[0]
             start = max(0.0, centre[k] - 2.0 * eta)
+            from scipy.optimize import brentq
+
             return brentq(lambda t: float(excess(t)), start, float(peak[k]))
     return None
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -135,6 +136,55 @@ def test_import_does_not_load_configparser():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+_COLD_START = """
+import json, os, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+import magnon_battery as mb
+from magnon_battery.cli import main
+
+lazy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse.linalg")
+codes = [main([preset, "--out", os.devnull]) for preset in ("fig2", "fig5", "fig6")]
+loaded = [name for name in lazy if name in sys.modules]
+
+config = mb.SystemConfig.dispersive(3, 2, g_over_delta=0.1, j_over_delta=0.01)
+basis = mb.enumerate_sector_basis(3, 2, 3, 3)
+h = mb.build_full_hamiltonian(config, basis)
+psi0 = mb.charged_initial_state(basis)
+times = np.linspace(0.0, 200.0, 201)
+start = threading.Barrier(2)
+
+def integrate(_):
+    start.wait()  # both threads reach the first import together
+    return mb.evolve(h, psi0, times, dense_threshold=0).energy
+
+with ThreadPoolExecutor(max_workers=2) as pool:
+    runs = list(pool.map(integrate, range(2)))
+dense = mb.evolve(h, psi0, times).energy
+print(json.dumps({
+    "codes": codes,
+    "loaded": loaded,
+    "integrate_loaded": "scipy.integrate" in sys.modules,
+    "errors": [float(np.max(np.abs(run - dense))) for run in runs],
+}))
+"""
+
+
+def test_cold_start_loads_only_what_a_run_uses():
+    # the integrator and the root finder are imported on first use: the
+    # presets need neither, and the first use may come from two threads
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["loaded"] == []
+    assert report["integrate_loaded"]
+    assert len(report["errors"]) == 2
+    assert max(report["errors"]) <= 1e-8
 
 
 def test_default_section_rejected():
@@ -360,9 +410,7 @@ g_battery_over_delta = 0.1
         parse_config(text)
     parse_config(text.replace("mode = analytic", "mode = simulate-full"))
     # uniform means exactly equal: couplings one ulp apart are not
-    nearly = text.replace("mode = analytic", "mode = collective").replace(
-        "0.1, 0.2", "0.1, 0.1000000000000001"
-    )
+    nearly = text.replace("0.1, 0.2", "0.1, 0.1000000000000001")
     with pytest.raises(ConfigError, match="requires uniform couplings"):
         parse_config(nearly)
 
@@ -400,8 +448,13 @@ def test_every_mode_runs_end_to_end(mode):
 
 
 def test_collective_mode_runs_the_config_exchange():
-    # the collective mode is the effective model on symmetric registers, at the config's J
-    text = """\
+    # the collective mode is the effective model on the class sector of any
+    # config, at the config's J
+    for couplings in (
+        "g_over_delta = 0.1",
+        "g_charger_over_delta = 0.1, 0.12, 0.1\ng_battery_over_delta = 0.1",
+    ):
+        text = f"""\
 [run]
 mode = collective
 samples = 201
@@ -409,20 +462,20 @@ samples = 201
 [system]
 n_charger = 3
 m_battery = 2
-g_over_delta = 0.1
+{couplings}
 j_over_delta = 0.05
 """
-    collective = np.array(_table(run_experiment(parse_config(text))), dtype=float)
-    effective = np.array(
-        _table(run_experiment(parse_config(text.replace("collective", "simulate-effective")))),
-        dtype=float,
-    )
-    assert np.array_equal(collective[:, 0], effective[:, 0])
-    assert np.max(np.abs(collective[:, 1] - effective[:, 1])) <= 1e-10
-    sweet = np.array(
-        _table(run_experiment(parse_config(text.replace("0.05", "0.01")))), dtype=float
-    )
-    assert np.max(np.abs(sweet[:, 1] - collective[:, 1])) > 1e-3
+        collective = np.array(_table(run_experiment(parse_config(text))), dtype=float)
+        effective = np.array(
+            _table(run_experiment(parse_config(text.replace("collective", "simulate-effective")))),
+            dtype=float,
+        )
+        assert np.array_equal(collective[:, 0], effective[:, 0])
+        assert np.max(np.abs(collective[:, 1] - effective[:, 1])) <= 1e-10, couplings
+        sweet = np.array(
+            _table(run_experiment(parse_config(text.replace("0.05", "0.01")))), dtype=float
+        )
+        assert np.max(np.abs(sweet[:, 1] - collective[:, 1])) > 1e-3, couplings
 
 
 def test_trajectory_csv_schema():
