@@ -14,6 +14,15 @@ samples.  ``scipy.integrate`` is imported on first use, by this module's
 ``solve_ivp``: with ``scipy.optimize``, which it pulls in, it costs about
 0.4 s of import, and the dense path never needs it.
 
+The builders store real (float64) matrices.  ``evolve`` makes one
+complex copy of the matrix per call and hands it to both paths.  The
+dense eigendecomposition stays complex: a real one is about ten times
+faster, but it returns other eigenvectors and rounds E(t) differently,
+enough to move the earlier of two equal peaks of a trajectory, so it
+waits for a tie rule in ``charging_metrics``.  The integrator's
+right-hand side needs the complex copy too, since scipy would otherwise
+cast a real matrix to complex on every product with the complex state.
+
 Energies are reported as battery excitation numbers, i.e. in units of
 the spin splitting omega; times and powers are in raw model units.
 Dividing power by |G| converts to the conventional |G|*omega scale.
@@ -105,15 +114,16 @@ def evolve(
     _, magnons, batteries = h.basis._counts()
     battery = batteries.astype(float)
     magnon_diag = magnons.astype(float) if h.basis.cutoff else None
+    matrix = h.matrix.astype(complex, copy=False)  # see the module docstring
     if h.dimension <= dense_threshold:
-        w, v = np.linalg.eigh(h.toarray())
+        w, v = np.linalg.eigh(matrix.toarray())
         coeff = v.conj().T @ amps0
         phases = np.exp(-1j * np.outer(times, w))
         states = (v @ (phases * coeff).T).T
         energy, norm, magnon = _observables(states, battery, magnon_diag)
     else:
         energy, norm, magnon, states = _integrate(
-            h, amps0, times, tol, battery, magnon_diag, keep_states
+            matrix, amps0, times, tol, battery, magnon_diag, keep_states
         )
     power = np.zeros_like(energy)
     positive = times > 0
@@ -143,7 +153,7 @@ def solve_ivp(*args, **kwargs):
     return integrate.solve_ivp(*args, **kwargs)
 
 
-def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):
+def _integrate(matrix, amps0, times, tol, battery, magnon_diag, keep_states):
     """DOP853 in the frame rotating at c = trace(H)/dim, slice by slice.
 
     ``amps0`` is the state at t = 0, as on the dense path; a grid that
@@ -154,7 +164,6 @@ def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):
     as fit in ``_SLICE_BYTES`` and starts from the last state of the
     previous one.
     """
-    matrix = h.matrix
     shift = float(matrix.diagonal().real.mean())
 
     def rhs(_t, y):
@@ -168,7 +177,7 @@ def _integrate(h, amps0, times, tol, battery, magnon_diag, keep_states):
             raise RuntimeError(f"integration failed: {sol.message}")
         return sol.y.T
 
-    step = max(1, _SLICE_BYTES // (16 * h.dimension))
+    step = max(1, _SLICE_BYTES // (16 * matrix.shape[0]))
     y = amps0.astype(complex)
     if times[0] != 0.0:
         y = solve(0.0, times[:1], y)[-1]

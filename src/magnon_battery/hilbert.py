@@ -39,6 +39,12 @@ register's exchange J among its own spins: on the symmetric irrep,
 sum_{i<j} (s+_i s-_j + h.c.) = S+S- - n, which adds J n(K-n) to the
 diagonal (nothing for a single spin, where it is skipped).
 
+Every amplitude is real, so the assembler emits float64 values and a
+``HamiltonianMatrix`` stores the dtype it is given, promoted to at least
+float64: real builds stay real (half the bytes of complex), and their
+Hermitian check is a symmetry check.  ``evolve`` makes the complex copy
+that propagation needs.
+
 A config splits its spins into exact symmetry classes
 (``SystemConfig._classes``).  The Hamiltonian and the charged initial
 state are symmetric under permutations within each class, so each class
@@ -159,18 +165,28 @@ class SectorBasis:
 
 
 class HamiltonianMatrix:
-    """Sparse Hermitian operator bound to the basis it acts on."""
+    """Sparse Hermitian operator bound to the basis it acts on.
+
+    The CSR matrix keeps the dtype of its input, promoted to at least
+    float64: the builders' real output stays real (a real Hermitian
+    matrix is symmetric), a complex input stays complex.  A canonical
+    CSR input is stored as given, not copied; any other is copied first,
+    so the caller's matrix is never reordered in place.
+    """
 
     def __init__(self, matrix: sp.spmatrix, basis: SectorBasis):
-        csr = sp.csr_matrix(matrix, dtype=complex)
-        csr.sum_duplicates()
-        csr.sort_indices()
+        csr = sp.csr_matrix(matrix)
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        csr = csr.astype(np.result_type(csr.dtype, np.float64), copy=False)
         if csr.shape != (basis.dimension, basis.dimension):
             raise ValueError(
                 f"matrix shape {csr.shape} does not match basis dimension {basis.dimension}"
             )
         adjoint = csr.T.tocsr()  # canonical, like csr
-        np.conjugate(adjoint.data, out=adjoint.data)
+        if csr.dtype.kind == "c":
+            np.conjugate(adjoint.data, out=adjoint.data)
         if not _same_entries(csr, adjoint):
             # the stored patterns may differ by explicit zeros only
             trimmed = csr.copy()
@@ -347,19 +363,24 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     exchange J among the spins of register s, which adds J n(K-n) to the
     diagonal.  Every hop also carries the ladder factors of the registers
     it lowers and raises, and is emitted with its transpose partner.
+
+    Each term class keeps only its emitted part (int32 indices below 2**31
+    states); the parts are copied into the COO triplets in emission order,
+    each freed once copied, so parts, triplets and CSR never coexist.
     """
     k = basis._mode
     occ, strides, keys = basis._occupations, basis._strides, basis._keys
+    dim = basis.dimension
+    index = np.int32 if dim < 2**31 else np.int64
     regs = np.r_[0:k, k + 1 : occ.shape[1]]
     capacity, reg_strides = basis._capacity[regs], strides[regs]
     lowerable, raisable = (occ > 0)[:, regs], (occ < basis._capacity)[:, regs]
     single = capacity.max(initial=0) <= 1  # every ladder factor is exactly 1
-    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    parts = []  # (rows, cols, values), in entry order
 
     def hop(p, q, forward, backward):
-        rows.extend((q, p))
-        cols.extend((p, q))
-        vals.extend((forward, backward))
+        p, q = p.astype(index), q.astype(index)
+        parts.extend(((q, p, forward), (p, q, backward)))
 
     def targets(p, shift):
         q = basis._positions(keys[p] + shift)
@@ -372,18 +393,8 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
         n = occ[p, regs[s]] + shift
         return np.sqrt(n * (capacity[s] - n + 1))
 
-    own = np.diag(flip_flop)
-    if not single and own.any():
-        # sum_{i<j} J (s+_i s-_j + h.c.) = J (S+S- - n) = J n(K-n) on the irrep
-        held = occ[:, regs]
-        exchange = (held * (capacity - held)) @ own
-        diagonal = exchange if diagonal is None else diagonal + exchange
-    if diagonal is not None:
-        every = np.arange(basis.dimension)
-        rows.append(every)
-        cols.append(every)
-        vals.append(np.asarray(diagonal, dtype=float))
-    if couplings is not None:
+    # each term class is a function, so its temporaries go when it returns
+    def mode_hops():
         # register s lowers, the magnon raises
         p, s = np.nonzero(lowerable & (occ[:, k, None] < basis.cutoff))
         hit, q = targets(p, strides[k] - reg_strides[s])
@@ -392,23 +403,40 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
         if not single:
             amp *= ladder(p, s, 0)
         hop(p, q, amp, amp)
-    a, b = np.nonzero(np.triu(flip_flop, 1))
-    # the excitation moves from register a to register b
-    p, j = np.nonzero(lowerable[:, a] & raisable[:, b])
-    hit, q = targets(p, reg_strides[b[j]] - reg_strides[a[j]])
-    p, a, b = p[hit], a[j[hit]], b[j[hit]]
-    forward, backward = flip_flop[a, b], flip_flop[b, a]
-    if not single:
-        for factor in (ladder(p, a, 0), ladder(p, b, 1)):
-            forward *= factor
-            backward *= factor
-    hop(p, q, forward, backward)
 
-    dim = basis.dimension
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
-    return matrix.tocsr()
+    def flip_flop_hops(a, b):
+        # the excitation moves from register a to register b
+        p, j = np.nonzero(lowerable[:, a] & raisable[:, b])
+        hit, q = targets(p, reg_strides[b[j]] - reg_strides[a[j]])
+        p, a, b = p[hit], a[j[hit]], b[j[hit]]
+        forward, backward = flip_flop[a, b], flip_flop[b, a]
+        if not single:
+            for factor in (ladder(p, a, 0), ladder(p, b, 1)):
+                forward *= factor
+                backward *= factor
+        hop(p, q, forward, backward)
+
+    own = np.diag(flip_flop)
+    if not single and own.any():
+        # sum_{i<j} J (s+_i s-_j + h.c.) = J (S+S- - n) = J n(K-n) on the irrep
+        held = occ[:, regs]
+        exchange = (held * (capacity - held)) @ own
+        diagonal = exchange if diagonal is None else diagonal + exchange
+    if diagonal is not None:
+        every = np.arange(dim, dtype=index)
+        parts.append((every, every, np.asarray(diagonal, dtype=float)))
+    if couplings is not None:
+        mode_hops()
+    flip_flop_hops(*np.nonzero(np.triu(flip_flop, 1)))
+
+    nnz = sum(len(values) for _, _, values in parts)
+    rows, cols, vals = np.empty(nnz, index), np.empty(nnz, index), np.empty(nnz)
+    start = 0
+    while parts:
+        end = start + len(parts[0][2])
+        rows[start:end], cols[start:end], vals[start:end] = parts.pop(0)  # freed once copied
+        start = end
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> HamiltonianMatrix:
@@ -430,7 +458,7 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
 
 def total_excitation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal total excitation number (constant on a single sector)."""
-    total = sum(basis._counts()).astype(complex)
+    total = sum(basis._counts()).astype(float)
     return HamiltonianMatrix(sp.diags(total, format="csr"), basis)
 
 

@@ -6,20 +6,41 @@ theory on any matrix, without the dispersive formula; the ``state_*``
 functions are the closed-form amplitudes of the analytic models, which
 ``evolve(keep_states=True)`` must reproduce.  ``class_isometry`` embeds
 symmetric class registers into per-spin states from the labels alone.
-``per_side`` names the classes of one register per side.
+``per_side`` names the classes of one register per side, and
+``disordered`` draws a config with per-spin couplings and exchange.
 """
 
 import math
 
 import numpy as np
 
-from magnon_battery import HamiltonianMatrix
+from magnon_battery import HamiltonianMatrix, SystemConfig
 from magnon_battery.analytic import two_to_one_spectrum
 
 
 def per_side(n_charger: int, m_battery: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Spin classes of one symmetric register per side (the Dicke layout)."""
     return tuple(range(n_charger)), tuple(range(n_charger, n_charger + m_battery))
+
+
+def disordered(n: int = 3, m: int = 2, seed: int = 7) -> SystemConfig:
+    """Config with every g and every J drawn apart: one symmetry class per spin."""
+    rng = np.random.default_rng(seed)
+
+    def exchange(size):
+        upper = np.triu(rng.uniform(-0.02, 0.05, (size, size)), 1)
+        return upper + upper.T
+
+    return SystemConfig(
+        n_charger=n,
+        m_battery=m,
+        omega=10.0,
+        omega_m=11.0,
+        g_charger=tuple(0.1 * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n))),
+        g_battery=tuple(0.1 * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, m))),
+        j_charger=exchange(n),
+        j_battery=exchange(m),
+    )
 
 
 def class_isometry(classes, n_charger: int, class_labels, spin_labels) -> np.ndarray:

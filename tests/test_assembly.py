@@ -31,28 +31,9 @@ from magnon_battery import (
 )
 from magnon_battery.hilbert import _sector
 
-from helpers import class_isometry, per_side
+from helpers import class_isometry, disordered, per_side
 
 RAISE = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0| on occupations (0, 1)
-
-
-def _disordered(n=3, m=2, seed=7):
-    rng = np.random.default_rng(seed)
-
-    def exchange(size):
-        upper = np.triu(rng.uniform(-0.02, 0.05, (size, size)), 1)
-        return upper + upper.T
-
-    return SystemConfig(
-        n_charger=n,
-        m_battery=m,
-        omega=10.0,
-        omega_m=11.0,
-        g_charger=tuple(0.1 * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n))),
-        g_battery=tuple(0.1 * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, m))),
-        j_charger=exchange(n),
-        j_battery=exchange(m),
-    )
 
 
 class Space:
@@ -123,7 +104,7 @@ BASES = {
 
 @pytest.mark.parametrize("kind", sorted(BASES))
 def test_full_hamiltonian_matches_kronecker_operator(kind):
-    cfg, basis = _disordered(), BASES[kind]()
+    cfg, basis = disordered(), BASES[kind]()
     space, h = _full_operator(cfg, basis.cutoff)
     built = build_full_hamiltonian(cfg, basis).toarray()
     assert np.max(np.abs(built - space.project(h, basis.labels))) <= 1e-12
@@ -131,7 +112,7 @@ def test_full_hamiltonian_matches_kronecker_operator(kind):
 
 @pytest.mark.parametrize("kind", sorted(BASES))
 def test_battery_energy_matches_kronecker_operator(kind):
-    cfg, basis = _disordered(), BASES[kind]()
+    cfg, basis = disordered(), BASES[kind]()
     rng = np.random.default_rng(11)
     amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
     psi = StateVector(amps / np.linalg.norm(amps), basis)
@@ -142,7 +123,7 @@ def test_battery_energy_matches_kronecker_operator(kind):
 
 @pytest.mark.parametrize("n_excitations", [1, 2, 3, 4])
 def test_effective_hamiltonian_matches_kronecker_operator(n_excitations):
-    cfg = _disordered()
+    cfg = disordered()
     basis = enumerate_sector_basis(3, 2, 0, n_excitations)
     built = build_effective_hamiltonian(cfg, basis)
     assert built.basis is basis

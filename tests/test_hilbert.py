@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ from magnon_battery import (
     StateVector,
     SystemConfig,
     basis_state,
+    build_collective_hamiltonian,
+    build_effective_hamiltonian,
     build_full_hamiltonian,
     charged_initial_state,
     enumerate_composite_basis,
     enumerate_sector_basis,
+    evolve,
     total_excitation_operator,
 )
 from magnon_battery.hilbert import _sector
 
-from helpers import per_side
+from helpers import disordered, per_side
 
 
 def test_single_excitation_chain():
@@ -223,6 +227,116 @@ def test_hermitian_check_matches_elementwise_comparison():
             with pytest.raises(ValueError, match="Hermitian"):
                 HamiltonianMatrix(csr, basis)
     assert 100 < accepted < 300
+
+
+def test_hermitian_check_matches_elementwise_comparison_on_real_matrices():
+    # the real twin of the test above: for real data the check is a
+    # symmetry check, and it accepts exactly the symmetric matrices
+    basis = enumerate_sector_basis(1, 2, 1, 1)
+    rng = np.random.default_rng(3)
+    values = np.array([0.0, 1.0, -1.0, 2.5, np.inf, np.nan])
+    accepted = 0
+    for _ in range(400):
+        k = rng.integers(0, 6)
+        rows, cols = rng.integers(0, 4, k), rng.integers(0, 4, k)
+        data = rng.choice(values, k)
+        # mirror most entries, then store a few zeros and one stray value
+        mirror = rng.random(k) < 0.9
+        rows, cols = np.r_[rows, cols[mirror]], np.r_[cols, rows[mirror]]
+        data = np.r_[data, data[mirror]]
+        extra = rng.integers(0, 3)
+        rows, cols = np.r_[rows, rng.integers(0, 4, extra)], np.r_[cols, rng.integers(0, 4, extra)]
+        data = np.r_[data, np.where(rng.random(extra) < 0.8, 0.0, rng.choice(values, extra))]
+        csr = sp.csr_matrix(sp.coo_matrix((data, (rows, cols)), shape=(4, 4)))
+        csr.sum_duplicates()
+        assert csr.dtype == np.float64
+        symmetric = (csr != csr.T).nnz == 0
+        accepted += symmetric
+        if symmetric:
+            assert HamiltonianMatrix(csr, basis).matrix.dtype == np.float64
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                HamiltonianMatrix(csr, basis)
+    assert 100 < accepted < 300
+    bad = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        HamiltonianMatrix(bad, enumerate_sector_basis(1, 1, 1, 1))
+
+
+def test_builders_store_real_matrices():
+    # every builder's Hamiltonian is real symmetric and kept as float64;
+    # the dtype of any other input is promoted to at least float64
+    cfg = disordered()
+    basis = enumerate_sector_basis(3, 2, 3, 3)
+    uniform = SystemConfig.uniform(
+        3, 2, g=0.1, omega=10.0, omega_m=11.0, j_charger=0.02, j_battery=-0.01
+    )
+    built = (
+        build_full_hamiltonian(cfg, basis),
+        build_effective_hamiltonian(cfg),
+        build_full_hamiltonian(uniform, _sector(per_side(3, 2), 3, 3, 3)),
+        build_effective_hamiltonian(uniform, _sector(per_side(3, 2), 3, 0, 3)),
+        build_collective_hamiltonian(0.01, 3, 2),
+        total_excitation_operator(basis),
+    )
+    for h in built:
+        assert h.matrix.dtype == np.float64
+    small = enumerate_sector_basis(1, 1, 1, 1)
+    ones = np.ones((3, 3))
+    for given, kept in ((complex, np.complex128), (np.complex64, np.complex128), (int, np.float64)):
+        assert HamiltonianMatrix(sp.csr_matrix(ones.astype(given)), small).matrix.dtype == kept
+
+
+def test_unsorted_input_is_not_reordered_in_place():
+    # a CSR input that is not canonical is copied before it is sorted, so
+    # the caller's matrix keeps its own (unsorted) arrays and its values
+    basis = enumerate_sector_basis(1, 1, 1, 1)
+    for dtype in (float, np.float32, complex):
+        data = np.array([2.0, 1.0, 3.0, 2.0, 3.0], dtype=dtype)
+        indices, indptr = np.array([1, 0, 2, 0, 1]), np.array([0, 2, 4, 5])
+        given = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+        given.has_sorted_indices = False
+        before = given.toarray()
+        h = HamiltonianMatrix(given, basis)
+        assert np.array_equal(h.toarray(), before)
+        assert np.array_equal(given.toarray(), before)
+        assert np.array_equal(given.indices, indices)
+
+
+@pytest.mark.parametrize("threshold", [2048, 0])
+def test_evolve_real_storage_is_bit_identical_to_complex(threshold):
+    # evolve casts to complex itself, so the real-stored Hamiltonian gives
+    # exactly the result of the same matrix stored as complex, on the dense
+    # path and on the integrator path
+    cfg = disordered()
+    basis = enumerate_sector_basis(3, 2, 3, 3)
+    real = build_full_hamiltonian(cfg, basis)
+    cplx = HamiltonianMatrix(real.matrix.astype(complex), basis)
+    assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
+    psi0 = charged_initial_state(basis)
+    times = np.linspace(0.0, 40.0, 81)
+    runs = [
+        evolve(h, psi0, times, dense_threshold=threshold, keep_states=True) for h in (real, cplx)
+    ]
+    for name in ("energy", "power", "norm", "magnon", "states"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
+def test_full_build_peak_memory_per_entry():
+    # tracemalloc counts numpy's allocations, so the peak per stored entry
+    # does not depend on the machine: int32 indices, parts freed as they are
+    # copied into the triplets, and no complex copy keep it near 30 bytes
+    # (60 with int64 parts, their concatenation and complex storage)
+    cfg = disordered(7, 7, seed=0)
+    basis = enumerate_sector_basis(7, 7, 7, 7)
+    tracemalloc.start()
+    try:
+        h = build_full_hamiltonian(cfg, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (h.dimension, h.nnz) == (9908, 335436)
+    assert peak <= 40 * h.nnz, f"{peak / h.nnz:.1f} bytes per stored entry"
 
 
 def test_config_basis_mismatch():
