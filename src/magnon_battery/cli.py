@@ -9,9 +9,8 @@ goes to --out, to the config's own [run] out path, or to stdout.
 
 Exit codes: 0 success, 1 configuration problem (bad arguments, bad
 config text, unreadable config, unwritable output), 2 numerical failure
-(integration breakdown, runaway coefficients, failed linear algebra,
-floating-point traps).  Any other exception is a bug and propagates with
-its traceback.
+(runaway coefficients, failed linear algebra, floating-point traps).
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ from dataclasses import replace
 from numpy.linalg import LinAlgError
 
 from .experiments import MODES, PRESETS, TOOL_VERSION, ConfigError, parse_config, run_experiment
+from .qsd import RiccatiBlowupError
 
 __all__ = ["main", "entrypoint"]
 
-# RuntimeError covers RiccatiBlowupError and integrator breakdown
-_NUMERICAL_ERRORS = (RuntimeError, LinAlgError, FloatingPointError)
+# any other RuntimeError, such as RecursionError or NotImplementedError, is a bug
+_NUMERICAL_ERRORS = (RiccatiBlowupError, LinAlgError, FloatingPointError)
 
 
 class _ArgumentError(Exception):
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="config file path (required for modes, invalid for presets)")
     parser.add_argument("--out", help="CSV output path (default: config [run] out, else stdout)")
     parser.add_argument("--threads", type=int, help="worker threads for sweep grids")
-    parser.add_argument("--tol", type=float, help="integrator tolerance override")
+    parser.add_argument("--tol", type=float, help="propagation tolerance override")
     parser.add_argument(
         "--version", action="version", version=f"magnon-battery {TOOL_VERSION}"
     )

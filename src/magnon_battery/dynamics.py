@@ -1,27 +1,26 @@
 """State propagation and charging metrics.
 
-``evolve`` integrates the Schroedinger equation for any Hermitian
+``evolve`` propagates the Schroedinger equation for any Hermitian
 operator produced by this package and samples the battery observables
 on a caller-supplied time grid.  Problems of at most ``dense_threshold``
 states (default 2048) go through a full Hermitian eigendecomposition,
 which makes the phase evolution exact; larger ones, such as the
-per-spin effective sector of N = 10, M = 6 (dim 8,008) in a sweep, go
-to an adaptive high-order Runge-Kutta integrator.  The integrator runs
-in the frame rotating at the mean diagonal energy, so it does not
-resolve the large constant phase of an excitation sector, and it walks
-the grid in slices so that its memory does not grow with the number of
-samples.  ``scipy.integrate`` is imported on first use, by this module's
-``solve_ivp``: with ``scipy.optimize``, which it pulls in, it costs about
-0.4 s of import, and the dense path never needs it.
+per-spin full 6+6 sector (dim 2,510), go to a Chebyshev expansion of
+exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  Its
+truncation is set from ``tol`` by the Bessel coefficients, so ``tol``
+bounds the error of the state on the whole grid; it walks the grid in
+steps whose memory does not grow with the number of samples.  It needs
+neither ``scipy.integrate`` nor ``scipy.special``: the Bessel values come
+from Miller's backward recurrence.
 
-The builders store real (float64) matrices.  ``evolve`` makes one
-complex copy of the matrix per call and hands it to both paths.  The
-dense eigendecomposition stays complex: a real one is about ten times
-faster, but it returns other eigenvectors and rounds E(t) differently,
-enough to move the earlier of two equal peaks of a trajectory, so it
-waits for a tie rule in ``charging_metrics``.  The integrator's
-right-hand side needs the complex copy too, since scipy would otherwise
-cast a real matrix to complex on every product with the complex state.
+The builders store real (float64) matrices.  The dense path makes one
+complex copy of the matrix and keeps the eigendecomposition complex: a
+real one is about ten times faster, but it returns other eigenvectors
+and rounds E(t) differently, enough to move the earlier of two equal
+peaks of a trajectory, so it waits for a tie rule in
+``charging_metrics``.  The Chebyshev path needs no copy: it applies a
+real matrix to the real and imaginary parts of the state as two real
+CSR products.
 
 Energies are reported as battery excitation numbers, i.e. in units of
 the spin splitting omega; times and powers are in raw model units.
@@ -30,6 +29,7 @@ Dividing power by |G| converts to the conventional |G|*omega scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +48,8 @@ __all__ = [
 
 DENSE_THRESHOLD = 2048
 
-# amplitude rows (complex128, samples x dim) the integrator holds at once
+# bytes of one Chebyshev step's vectors, of its coefficients and of its
+# sampled amplitude rows, each
 _SLICE_BYTES = 8 * 2**20
 
 
@@ -95,7 +96,11 @@ def evolve(
     dense_threshold: int = DENSE_THRESHOLD,
     keep_states: bool = False,
 ) -> Trajectory:
-    """Propagate psi0 under h and sample observables on the grid."""
+    """Propagate psi0, the state at t = 0, under h and sample observables on the grid.
+
+    Up to ``dense_threshold`` states the propagation is exact to rounding;
+    above it, ``tol`` bounds the error of the state at every sample.
+    """
     if not isinstance(h, HamiltonianMatrix):
         raise TypeError("h must be a HamiltonianMatrix (Hermitian by construction)")
     times = np.asarray(times, dtype=float)
@@ -103,27 +108,32 @@ def evolve(
         raise ValueError("times must be a 1-d grid with at least two samples")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and > 0")
     amps0 = psi0.amplitudes
     if amps0.shape != (h.dimension,):
         raise ValueError(
             f"state dimension {amps0.shape} does not match operator dimension {h.dimension}"
         )
+    if not psi0.basis._matches(h.basis):
+        raise ValueError("psi0 is a state of another basis than h's")
     if abs(np.linalg.norm(amps0) - 1.0) > 1e-12:
         raise ValueError("psi0 is not normalized")
+    bounds = _spectral_bounds(h.matrix)
 
     _, magnons, batteries = h.basis._counts()
     battery = batteries.astype(float)
     magnon_diag = magnons.astype(float) if h.basis.cutoff else None
-    matrix = h.matrix.astype(complex, copy=False)  # see the module docstring
     if h.dimension <= dense_threshold:
-        w, v = np.linalg.eigh(matrix.toarray())
+        # complex eigh: see the module docstring
+        w, v = np.linalg.eigh(h.matrix.astype(complex, copy=False).toarray())
         coeff = v.conj().T @ amps0
         phases = np.exp(-1j * np.outer(times, w))
         states = (v @ (phases * coeff).T).T
-        energy, norm, magnon = _observables(states, battery, magnon_diag)
+        energy, norm, magnon = _observables(np.abs(states) ** 2, battery, magnon_diag)
     else:
-        energy, norm, magnon, states = _integrate(
-            matrix, amps0, times, tol, battery, magnon_diag, keep_states
+        energy, norm, magnon, states = _chebyshev(
+            h.matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_states
         )
     power = np.zeros_like(energy)
     positive = times > 0
@@ -138,58 +148,176 @@ def evolve(
     )
 
 
-def _observables(states: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarray | None):
-    """Battery energy, norm and magnon number of each amplitude row."""
-    probs = np.abs(states) ** 2
+def _observables(probs: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarray | None):
+    """Battery energy, norm and magnon number of each row of probabilities."""
     magnon = probs @ magnon_diag if magnon_diag is not None else None
     return probs @ battery, probs.sum(axis=1), magnon
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call (one per
-    module, so that each module's calls can be wrapped apart)."""
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Nothing in this module calls it: ``evolve`` propagates by Chebyshev
+    expansion.  The name stays because the benchmark's tracer wraps
+    ``dynamics.solve_ivp`` and its name guard requires it to resolve; both
+    go with the next change to the benchmark.
+    """
     from scipy import integrate
 
     return integrate.solve_ivp(*args, **kwargs)
 
 
-def _integrate(matrix, amps0, times, tol, battery, magnon_diag, keep_states):
-    """DOP853 in the frame rotating at c = trace(H)/dim, slice by slice.
+def _spectral_bounds(matrix) -> tuple[float, float]:
+    """Centre and half-width of the Gershgorin interval, which holds the spectrum."""
+    diag = matrix.diagonal().real
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf entry reads as a NaN bound
+        # row sums of |h_ij|; an empty row reads the next row's first entry, so mask it
+        sums = np.add.reduceat(np.append(np.abs(matrix.data), 0.0), matrix.indptr[:-1])
+        radius = np.where(np.diff(matrix.indptr) > 0, sums, 0.0) - np.abs(diag)
+        low, high = float(np.min(diag - radius)), float(np.max(diag + radius))
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("the Gershgorin bound of h is not finite")
+    return 0.5 * (high + low), 0.5 * (high - low)
 
-    ``amps0`` is the state at t = 0, as on the dense path; a grid that
-    starts elsewhere is first reached by one integration from 0.  The
-    rotating-frame amplitudes differ from the lab-frame ones by the global
-    phase exp(-i c t), which no observable sees; only kept states get it
-    multiplied back.  Each ``solve_ivp`` call covers as many grid samples
-    as fit in ``_SLICE_BYTES`` and starts from the last state of the
-    previous one.
+
+def _bessel(x: np.ndarray, order: int) -> np.ndarray:
+    """J_k(x) for k = 0 ... top, top > order, one column per argument.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    far enough above ``order`` and max|x| that the rows up to ``order``
+    are exact to rounding, and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1.
+    A column is rescaled before it can overflow.  J_k(-x) = (-1)^k J_k(x);
+    arguments below 1e-150 count as 0.
     """
-    shift = float(matrix.diagonal().real.mean())
+    x = np.asarray(x, dtype=float)
+    size = np.abs(x)
+    zero = size < 1e-150
+    inverse = 2.0 / np.where(zero, 1.0, size)
+    reach = float(size.max(initial=0.0))
+    top = int(max(order, reach) + 30 + 8 * np.cbrt(reach))
+    values = np.empty((top + 1, x.size))
+    values[top] = 1e-300
+    above = np.zeros(x.size)
+    for k in range(top, 0, -1):
+        values[k - 1] = (k * inverse) * values[k] - above
+        above = values[k]
+        if np.dot(values[k - 1], values[k - 1]) > 1e200:
+            values[k - 1 :] /= np.maximum(np.abs(values[k - 1]), 1.0)
+    values /= 2.0 * values[2::2].sum(axis=0) + values[0]
+    values[:, zero] = 0.0
+    values[0, zero] = 1.0
+    values[1::2] *= np.where(x < 0, -1.0, 1.0)
+    return values
 
-    def rhs(_t, y):
-        return -1j * (matrix @ y - shift * y)
 
-    def solve(t0, grid, y):
-        sol = solve_ivp(
-            rhs, (t0, grid[-1]), y, t_eval=grid, method="DOP853", rtol=tol, atol=tol
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        return sol.y.T
+def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_states):
+    """Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984), step by step.
 
-    step = max(1, _SLICE_BYTES // (16 * matrix.shape[0]))
-    y = amps0.astype(complex)
-    if times[0] != 0.0:
-        y = solve(0.0, times[:1], y)[-1]
-    blocks = [_observables(y[None, :], battery, magnon_diag)]
-    kept = [y[None, :] * np.exp(-1j * shift * times[0])]
-    for start in range(0, times.size - 1, step):
-        grid = times[start + 1 : start + 1 + step]
-        rows = solve(times[start], grid, y)
-        y = rows[-1].copy()
-        blocks.append(_observables(rows, battery, magnon_diag))
+    With X = (H - c)/r, c and r from the Gershgorin interval, a step from
+    the anchor state y at time t_a gives each sample t of the step as
+
+        y(t) = sum_k (2 - delta_k0) J_k(r (t - t_a)) (-i)^k T_k(X) y,
+
+    in the frame rotating at c.  The three-term recurrence builds the
+    vectors (-i)^k T_k(X) y once per step, real and imaginary parts side
+    by side, with two real CSR products per order; all samples of the
+    step are then one real matrix product of the real weights with those
+    vectors.  The order K of a step is the smallest whose Bessel tail
+    2 sum_{k>K} |J_k| stays below the step's share of ``tol`` at every
+    sample.  The shares are in proportion to the time each step covers,
+    out of |t_0| + (t_end - t_0), so the state error is at most ``tol`` on
+    the whole grid.  A step holds at most ``span`` vectors and ``span``
+    samples, so that its vectors, its weights and its sampled rows each
+    fit in ``_SLICE_BYTES`` (above 32,768 states, 16 vectors do not).
+
+    ``amps0`` is the state at t = 0, as on the dense path: the first step
+    starts there.  A sample too far from its anchor for one step is
+    reached through intermediate anchors.  No observable sees the rotating
+    frame's global phase; only kept states get exp(-i c t) multiplied back.
+    """
+    centre, half = bounds
+    half = half or 1.0  # H = c: X = 0 at any scale
+    dim = matrix.shape[0]
+    real = matrix.real if matrix.dtype.kind == "c" else matrix
+    imag = matrix.imag if matrix.dtype.kind == "c" and np.any(matrix.data.imag) else None
+
+    def turn(vector, out, scale):
+        """scale * (-i)(H - c) (p + iq), for the state held as [p, q], into out."""
+        p, q = vector[:dim], vector[dim:]
+        out[:dim] = real @ q
+        out[dim:] = real @ p
+        if imag is not None:  # -iH(p + iq) = (Aq + Bp) - i(Ap - Bq) for H = A + iB
+            out[:dim] += imag @ p
+            out[dim:] -= imag @ q
+        out[:dim] -= centre * q
+        out[dim:] -= centre * p
+        out[:dim] *= scale
+        out[dim:] *= -scale
+
+    budget = _SLICE_BYTES // 16
+    span = max(16, min(budget // dim, math.isqrt(budget)))
+    path = abs(times[0]) + (times[-1] - times[0])
+
+    def plan(anchor, targets):
+        """Samples one step reaches, its order and the Bessel table."""
+        tau = targets - anchor
+        # span - 1 orders never reach a phase r|tau| of span or more
+        tau = tau[: int(np.sum(np.maximum.accumulate(half * np.abs(tau)) < span))]
+        if not tau.size:
+            return 0, 0, None
+        share = tol * np.maximum.accumulate(np.abs(tau)) / path
+        # a guess at the orders the farthest sample needs: J_k(x) falls off on
+        # the Airy scale (x/2)^(1/3) past k = x; too few only shorten the step
+        phase = half * float(np.max(np.abs(tau)))
+        depth = (1.5 * math.log(1.0 / max(share[-1], 1e-300))) ** (2 / 3)
+        most = min(span - 1, int(phase + 10 + depth * np.cbrt(phase / 2 + 1)))
+        table = _bessel(half * tau, most)
+        # tail[K] = 2 sum_{k > K} |J_k|
+        tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1]
+        below = tail[: most + 1] <= share
+        order = np.where(below.any(axis=0), below.argmax(axis=0), span)
+        order = np.maximum.accumulate(order)
+        reached = int(np.sum(order <= most))
+        return reached, int(order[reached - 1]) if reached else 0, table
+
+    def advance(state, order, table):
+        """[Re | Im] of the amplitudes at the step's samples, one row each.
+
+        Row k of ``vectors`` is (-i)^k T_k(X) y: v_{k+1} = v_{k-1} - 2i X v_k.
+        """
+        vectors = np.empty((order + 1, 2 * dim))
+        vectors[0] = state
+        for k in range(order):
+            turn(vectors[k], vectors[k + 1], (2.0 if k else 1.0) / half)
+            if k:
+                vectors[k + 1] += vectors[k - 1]
+        coeff = 2.0 * table[: order + 1].T
+        coeff[:, 0] *= 0.5
+        return coeff @ vectors
+
+    # the diagonals of the observables, once for Re and once for Im
+    doubled = [np.tile(d, 2) if d is not None else None for d in (battery, magnon_diag)]
+    anchor, state = 0.0, np.concatenate([amps0.real, amps0.imag])
+    blocks, kept = [], []
+    done = 0
+    while done < times.size:
+        grid = times[done : done + span]
+        reached, order, table = plan(anchor, grid)
+        if not reached:  # the next sample is out of one step's reach: go part of the way
+            target = grid[:1]
+            while not reached:  # to a phase of 3/4 span, then by halves
+                fraction = min(0.5, 0.75 * span / (half * abs(target[0] - anchor)))
+                target = anchor + fraction * (target - anchor)
+                reached, order, table = plan(anchor, target)
+            anchor, state = float(target[0]), advance(state, order, table[:, :1])[0]
+            continue
+        grid = grid[:reached]
+        rows = advance(state, order, table[:, :reached])
         if keep_states:
-            kept.append(rows * np.exp(-1j * shift * grid)[:, None])
+            kept.append((rows[:, :dim] + 1j * rows[:, dim:]) * np.exp(-1j * centre * grid)[:, None])
+        anchor, state = float(grid[-1]), rows[-1].copy()
+        blocks.append(_observables(np.square(rows, out=rows), *doubled))
+        done += reached
     energy, norm, magnon = (
         np.concatenate(parts) if parts[0] is not None else None for parts in zip(*blocks)
     )

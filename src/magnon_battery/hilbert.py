@@ -56,6 +56,7 @@ one class of the config and reads the couplings off first members.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,14 @@ class SectorBasis:
         pos = int(self._positions(row @ self._strides))
         # a digit out of range can alias the key of another label
         return pos if pos >= 0 and np.array_equal(self._occupations[pos], row) else -1
+
+    def _matches(self, other: "SectorBasis") -> bool:
+        """Same labels in the same order, each column holding the same spins or the mode."""
+        return self is other or (
+            self._mode == other._mode
+            and self._classes == other._classes
+            and np.array_equal(self._occupations, other._occupations)
+        )
 
     def __len__(self) -> int:
         return len(self._occupations)
@@ -350,6 +359,31 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis, mode: bool = Tru
     return np.array(config.g_charger + config.g_battery)[first], flip_flop
 
 
+# smaller blocks stay on the heap: mapping costs a system call, and
+# where they land moves the resident peak by less than their size
+_MAPPED_BYTES = 2**20
+# where the OS offers it, fault every page in with the mapping: about a
+# third of the time of faulting them one by one on first write
+_MAP_OPTIONS = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+    if hasattr(mmap, "MAP_POPULATE")
+    else {}
+)
+
+
+def _mapped(n: int, dtype) -> np.ndarray:
+    """Uninitialised array of n items, from ``_MAPPED_BYTES`` up in pages of its own.
+
+    The pages go back to the OS when the array is freed.  An array taken
+    from the heap instead lands in whatever room earlier allocations
+    left there, which differs from one process to the next.
+    """
+    dtype = np.dtype(dtype)
+    if n * dtype.itemsize < _MAPPED_BYTES:
+        return np.empty(n, dtype)
+    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, **_MAP_OPTIONS), dtype)
+
+
 def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
     """Real sparse matrix of an excitation-conserving Hamiltonian on the basis.
 
@@ -367,6 +401,11 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     Each term class keeps only its emitted part (int32 indices below 2**31
     states); the parts are copied into the COO triplets in emission order,
     each freed once copied, so parts, triplets and CSR never coexist.
+    The triplet values, the largest block alive beside scipy's CSR output,
+    are mapped (``_mapped``): on the heap, where that output must find room
+    too, they made the resident peak of repeated per-spin 8+8 builds read
+    132 or 139.5 MB depending on the process, and about 131 MB in every
+    process once mapped.
     """
     k = basis._mode
     occ, strides, keys = basis._occupations, basis._strides, basis._keys
@@ -430,7 +469,7 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     flip_flop_hops(*np.nonzero(np.triu(flip_flop, 1)))
 
     nnz = sum(len(values) for _, _, values in parts)
-    rows, cols, vals = np.empty(nnz, index), np.empty(nnz, index), np.empty(nnz)
+    rows, cols, vals = np.empty(nnz, index), np.empty(nnz, index), _mapped(nnz, float)
     start = 0
     while parts:
         end = start + len(parts[0][2])

@@ -18,7 +18,8 @@ from magnon_battery import (
     enumerate_sector_basis,
     evolve,
 )
-from magnon_battery.dynamics import _SLICE_BYTES, Trajectory
+from magnon_battery.dynamics import _SLICE_BYTES, Trajectory, _bessel
+from magnon_battery.hilbert import HamiltonianMatrix, _sector
 
 
 @pytest.fixture
@@ -101,17 +102,19 @@ def test_ode_path_honours_tol():
 
 
 def test_ode_path_lab_frame_states_across_slices():
-    h, psi0, coupling = _full_register(3)
-    samples = 2 * _SLICE_BYTES // (16 * h.dimension) + 101
-    times = np.linspace(0.0, charging_horizon(3, 3, coupling), samples)
-    assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # three slices at least
-    dense = evolve(h, psi0, times, keep_states=True)
-    ode = evolve(h, psi0, times, dense_threshold=0, keep_states=True)
-    assert ode.states.shape == (samples, h.dimension)
-    # lab-frame amplitudes, global phase included
-    assert np.max(np.abs(ode.states - dense.states)) <= 1e-6
-    assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
-    assert evolve(h, psi0, times, dense_threshold=0).states is None
+    # per spin 3+3 (dim 42) and 4+4 (dim 163): many steps of 724 samples each
+    for n in (3, 4):
+        h, psi0, coupling = _full_register(n)
+        samples = 2 * _SLICE_BYTES // (16 * h.dimension) + 101
+        times = np.linspace(0.0, charging_horizon(n, n, coupling), samples)
+        assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # three slices at least
+        dense = evolve(h, psi0, times, keep_states=True)
+        ode = evolve(h, psi0, times, dense_threshold=0, keep_states=True)
+        assert ode.states.shape == (samples, h.dimension)
+        # lab-frame amplitudes, global phase included
+        assert np.max(np.abs(ode.states - dense.states)) <= 1e-6
+        assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
+        assert evolve(h, psi0, times, dense_threshold=0).states is None
 
 
 def test_evolve_validation(one_to_one):
@@ -132,6 +135,89 @@ def test_evolve_validation(one_to_one):
     unnorm = StateVector(np.array([0.5, 0.0]), h.basis)
     with pytest.raises(ValueError, match="normalized"):
         evolve(h, unnorm, good)
+    for tol in (0.0, -1e-10, math.inf, math.nan):
+        for threshold in (2048, 0):
+            with pytest.raises(ValueError, match="tol"):
+                evolve(h, psi0, good, tol=tol, dense_threshold=threshold)
+    unbounded = HamiltonianMatrix(np.diag([math.inf, 0.0]), h.basis)
+    for threshold in (2048, 0):
+        with pytest.raises(ValueError, match="Gershgorin"):
+            evolve(unbounded, psi0, good, dense_threshold=threshold)
+
+
+def test_evolve_rejects_a_state_of_another_basis():
+    # same dim and occupation rows, but column 2 is the mode in one basis
+    # and a battery spin in the other: (2 chargers, 1 battery) against (1, 2)
+    b21, b12 = enumerate_sector_basis(2, 1, 1, 2), enumerate_sector_basis(1, 2, 1, 2)
+    assert b21.dimension == b12.dimension == 6
+    h = build_full_hamiltonian(SystemConfig.dispersive(2, 1, g_over_delta=0.1), b21)
+    stranger = basis_state(b12, (1, 0, 1, 0))
+    with pytest.raises(ValueError, match="basis"):
+        evolve(h, stranger, np.linspace(0.0, 1.0, 5))
+    # an equal basis built apart is the same basis
+    twin = basis_state(enumerate_sector_basis(2, 1, 1, 2), (1, 0, 1, 0))
+    assert evolve(h, twin, np.linspace(0.0, 1.0, 5)).norm[-1] == pytest.approx(1.0)
+
+
+def test_bessel_matches_scipy():
+    from scipy.special import jv
+
+    x = np.concatenate([[1e-12, 1e-3, 0.5], np.linspace(0.0, 150.0, 601)])
+    orders = np.arange(201)
+    ours = _bessel(x, 200)[: orders.size]
+    assert np.max(np.abs(ours - jv(orders[:, None], x[None, :]))) <= 1e-14
+    # J_k(-x) = (-1)^k J_k(x)
+    assert np.array_equal(_bessel(-x, 200)[: orders.size], ours * (-1.0) ** orders[:, None])
+
+
+def _agrees_with_dense(h, psi0, times, bound=1e-9):
+    dense = evolve(h, psi0, times)
+    cheb = evolve(h, psi0, times, dense_threshold=0, tol=1e-10)
+    assert np.max(np.abs(cheb.energy - dense.energy)) <= bound
+    assert np.max(np.abs(cheb.norm - 1.0)) <= bound
+    return dense, cheb
+
+
+def test_chebyshev_holds_tol_on_registers():
+    # the full 40+20 model on one register per side (dim 651): a wide magnon
+    # ladder, Gershgorin half-width about 20, so thousands of products
+    cfg = SystemConfig.dispersive(40, 20, g_over_delta=0.01, j_over_delta=1e-4)
+    basis = _sector(cfg._classes, 40, 40, 40)
+    h = build_full_hamiltonian(cfg, basis)
+    assert h.dimension == 651
+    dense, _ = _agrees_with_dense(h, charged_initial_state(basis), np.linspace(0.0, 400.0, 401))
+    assert np.max(dense.energy) > 1.0  # charging is under way
+
+
+def test_chebyshev_holds_tol_per_spin():
+    h, psi0, coupling = _full_register(4)
+    _agrees_with_dense(h, psi0, np.linspace(0.0, charging_horizon(4, 4, coupling), 401))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [np.array([0.0, 1.0, 3000.0, 3001.0]), np.linspace(-40.0, 40.0, 81)],
+    ids=["beyond-one-step", "before-zero"],
+)
+def test_chebyshev_reaches_any_grid(times):
+    # a sample thousands of phases away is reached through intermediate
+    # anchors; a grid before t = 0 is reached backwards from psi0
+    h, psi0, _ = _full_register(4)
+    _agrees_with_dense(h, psi0, times)
+
+
+def test_chebyshev_complex_hamiltonian():
+    # a diagonal gauge D H D^dag makes H complex with the same observables
+    h, psi0, coupling = _full_register(3)
+    gauge = np.exp(1j * np.linspace(0.0, 3.0, h.dimension))
+    rotated = gauge[:, None] * h.toarray() * gauge.conj()[None, :]
+    twisted = HamiltonianMatrix(0.5 * (rotated + rotated.conj().T), h.basis)
+    assert np.any(twisted.matrix.data.imag)
+    psi = StateVector(gauge * psi0.amplitudes, h.basis)
+    times = np.linspace(0.0, charging_horizon(3, 3, coupling), 201)
+    _, cheb = _agrees_with_dense(twisted, psi, times)
+    plain = evolve(h, psi0, times)
+    assert np.max(np.abs(cheb.energy - plain.energy)) <= 1e-9
 
 
 def test_metrics_refinement_beats_grid():

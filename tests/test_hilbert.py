@@ -22,7 +22,7 @@ from magnon_battery import (
     evolve,
     total_excitation_operator,
 )
-from magnon_battery.hilbert import _sector
+from magnon_battery.hilbert import _mapped, _sector
 
 from helpers import disordered, per_side
 
@@ -325,8 +325,9 @@ def test_evolve_real_storage_is_bit_identical_to_complex(threshold):
 def test_full_build_peak_memory_per_entry():
     # tracemalloc counts numpy's allocations, so the peak per stored entry
     # does not depend on the machine: int32 indices, parts freed as they are
-    # copied into the triplets, and no complex copy keep it near 30 bytes
-    # (60 with int64 parts, their concatenation and complex storage)
+    # copied into the triplets, and no complex copy keep it near 27 bytes
+    # (60 with int64 parts, their concatenation and complex storage); the
+    # triplet values are mapped outside the heap, where it does not look
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 7, 7)
     tracemalloc.start()
@@ -337,6 +338,15 @@ def test_full_build_peak_memory_per_entry():
         tracemalloc.stop()
     assert (h.dimension, h.nnz) == (9908, 335436)
     assert peak <= 40 * h.nnz, f"{peak / h.nnz:.1f} bytes per stored entry"
+
+
+def test_mapped_arrays_hold_any_length():
+    # below and above the size from which the pages are mapped
+    for n, dtype in ((0, float), (3, np.int32), (2**17, float), (2**18 + 1, np.int32)):
+        a = _mapped(n, dtype)
+        assert a.shape == (n,) and a.dtype == dtype and a.flags.writeable
+        a[:] = np.arange(n)
+        assert np.array_equal(a, np.arange(n))
 
 
 def test_config_basis_mismatch():
