@@ -22,6 +22,7 @@ from dataclasses import replace
 
 from numpy.linalg import LinAlgError
 
+from .dynamics import _MIN_TOL
 from .experiments import MODES, PRESETS, TOOL_VERSION, ConfigError, parse_config, run_experiment
 from .qsd import RiccatiBlowupError
 
@@ -91,8 +92,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--threads must be >= 1")
             overrides["threads"] = args.threads
         if args.tol is not None:
-            if not (math.isfinite(args.tol) and args.tol > 0.0):
-                raise ConfigError("--tol must be finite and > 0")
+            if not (math.isfinite(args.tol) and args.tol >= _MIN_TOL):
+                raise ConfigError(f"--tol must be finite and >= {_MIN_TOL!r}")
             overrides["tol"] = args.tol
         if overrides:
             spec = replace(spec, **overrides)

@@ -6,12 +6,11 @@ on a caller-supplied time grid.  Problems of at most ``dense_threshold``
 states (default 2048) go through a full Hermitian eigendecomposition,
 which makes the phase evolution exact; larger ones, such as the
 per-spin full 6+6 sector (dim 2,510), go to a Chebyshev expansion of
-exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  Its
-truncation is set from ``tol`` by the Bessel coefficients, so ``tol``
-bounds the error of the state on the whole grid; it walks the grid in
-steps whose memory does not grow with the number of samples.  It needs
-neither ``scipy.integrate`` nor ``scipy.special``: the Bessel values come
-from Miller's backward recurrence.
+exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one step
+length and one order, set from ``tol`` by the Bessel coefficients, make
+``tol`` bound the state error on the whole grid, in memory that does not
+grow with the number of samples.  Miller's backward recurrence gives the
+Bessel values; neither ``scipy.integrate`` nor ``scipy.special`` loads.
 
 The builders store real (float64) matrices.  The dense path makes one
 complex copy of the matrix and keeps the eigendecomposition complex: a
@@ -47,6 +46,9 @@ __all__ = [
 ]
 
 DENSE_THRESHOLD = 2048
+
+# the smallest tol: a finer one is below float64 rounding
+_MIN_TOL = float(np.finfo(float).eps)
 
 # bytes of one Chebyshev step's vectors, of its coefficients and of its
 # sampled amplitude rows, each
@@ -108,8 +110,8 @@ def evolve(
         raise ValueError("times must be a 1-d grid with at least two samples")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and > 0")
+    if not (math.isfinite(tol) and tol >= _MIN_TOL):
+        raise ValueError(f"tol must be finite and >= {_MIN_TOL!r}")
     amps0 = psi0.amplitudes
     if amps0.shape != (h.dimension,):
         raise ValueError(
@@ -214,26 +216,34 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
     """Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984), step by step.
 
     With X = (H - c)/r, c and r from the Gershgorin interval, a step from
-    the anchor state y at time t_a gives each sample t of the step as
+    the anchor state y at time t_a gives each time t of the step as
 
         y(t) = sum_k (2 - delta_k0) J_k(r (t - t_a)) (-i)^k T_k(X) y,
 
-    in the frame rotating at c.  The three-term recurrence builds the
-    vectors (-i)^k T_k(X) y once per step, real and imaginary parts side
-    by side, with two real CSR products per order; all samples of the
-    step are then one real matrix product of the real weights with those
-    vectors.  The order K of a step is the smallest whose Bessel tail
-    2 sum_{k>K} |J_k| stays below the step's share of ``tol`` at every
-    sample.  The shares are in proportion to the time each step covers,
-    out of |t_0| + (t_end - t_0), so the state error is at most ``tol`` on
-    the whole grid.  A step holds at most ``span`` vectors and ``span``
-    samples, so that its vectors, its weights and its sampled rows each
-    fit in ``_SLICE_BYTES`` (above 32,768 states, 16 vectors do not).
+    in the frame rotating at c, whose global phase only kept states get
+    back.  The recurrence builds the vectors (-i)^k T_k(X) y once per step,
+    [Re | Im] side by side, with two real CSR products per order; the
+    step's samples and its end are one real matrix product with them.
 
-    ``amps0`` is the state at t = 0, as on the dense path: the first step
-    starts there.  A sample too far from its anchor for one step is
-    reached through intermediate anchors.  No observable sees the rotating
-    frame's global phase; only kept states get exp(-i c t) multiplied back.
+    One step length D and one order K serve the run (Leforestier et al.,
+    J. Comput. Phys. 94, 59, 1991).  A step's vectors, weights and sampled
+    rows must each fit in ``_SLICE_BYTES``: at most ``span`` of each (16
+    above 32,768 states).  So rD < span, and D is at most the path
+    |t_0| + (t_end - t_0) and the grid's narrowest window of span samples:
+    a grid dense in one place pays for it everywhere.  Of 64 phases below
+    that cap, rD is the largest with D >= eps path (or the walk's times
+    stand still) and a tail 2 sum_{k>K} |J_k(rD)| of at most
+    tol D / (path + 2D) for some K in [rD - 1, span); K is the smallest.
+    None left: ``FloatingPointError``.  The same Bessel table holds the
+    weights of a first step from t = 0.
+
+    From ``amps0`` at t = 0, the walk moves towards the next sample by at
+    most D, emitting nothing, while that sample lies beyond [t_a, t_a + D];
+    otherwise one step gives every sample in [t_a, t_a + D] and the state
+    at its end.  That is at most path/D + 2 moves.  Below its order a
+    Bessel tail rises with the phase, so a move's end bounds its error at
+    each of its samples, and the shares sum to at most ``tol`` (rounding
+    aside).
     """
     centre, half = bounds
     half = half or 1.0  # H = c: X = 0 at any scale
@@ -257,31 +267,25 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
     budget = _SLICE_BYTES // 16
     span = max(16, min(budget // dim, math.isqrt(budget)))
     path = abs(times[0]) + (times[-1] - times[0])
+    window = np.min(times[span - 1 :] - times[: 1 - span], initial=math.inf)
+    # candidate phases, denser near the cap, and the samples that a first
+    # step from t = 0 can reach; the table's rows run past the cap to where
+    # |J_k| < 1e-17
+    cap = min(span - 1, half * path, half * window)
+    phases = cap * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5
+    near = times[: np.searchsorted(times, cap / half, "right") if times[0] >= 0 else 0]
+    table = _bessel(np.append(phases, half * near), 0)
+    tail = 2.0 * np.cumsum(np.abs(table[:0:-1, : phases.size]), axis=0)[::-1][:span]
+    orders = np.arange(len(tail))[:, None]  # tail[K] = 2 sum_{k>K} |J_k|
+    fits = (tail <= tol * phases / (half * path + 2 * phases)) & (orders + 1 >= phases)
+    fits &= phases >= _MIN_TOL * half * path  # the walk's times must advance
+    if not fits.any():
+        raise FloatingPointError(f"tol = {tol!r} is out of reach in float64 over {half * path:.3g} phases")
+    best = int(np.argmax(fits.any(axis=0)))
+    step, order = float(phases[best] / half), int(np.argmax(fits[:, best]))
 
-    def plan(anchor, targets):
-        """Samples one step reaches, its order and the Bessel table."""
-        tau = targets - anchor
-        # span - 1 orders never reach a phase r|tau| of span or more
-        tau = tau[: int(np.sum(np.maximum.accumulate(half * np.abs(tau)) < span))]
-        if not tau.size:
-            return 0, 0, None
-        share = tol * np.maximum.accumulate(np.abs(tau)) / path
-        # a guess at the orders the farthest sample needs: J_k(x) falls off on
-        # the Airy scale (x/2)^(1/3) past k = x; too few only shorten the step
-        phase = half * float(np.max(np.abs(tau)))
-        depth = (1.5 * math.log(1.0 / max(share[-1], 1e-300))) ** (2 / 3)
-        most = min(span - 1, int(phase + 10 + depth * np.cbrt(phase / 2 + 1)))
-        table = _bessel(half * tau, most)
-        # tail[K] = 2 sum_{k > K} |J_k|
-        tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1]
-        below = tail[: most + 1] <= share
-        order = np.where(below.any(axis=0), below.argmax(axis=0), span)
-        order = np.maximum.accumulate(order)
-        reached = int(np.sum(order <= most))
-        return reached, int(order[reached - 1]) if reached else 0, table
-
-    def advance(state, order, table):
-        """[Re | Im] of the amplitudes at the step's samples, one row each.
+    def advance(state, weights):
+        """[Re | Im] of the amplitudes at the times of the Bessel columns, one row each.
 
         Row k of ``vectors`` is (-i)^k T_k(X) y: v_{k+1} = v_{k-1} - 2i X v_k.
         """
@@ -291,7 +295,7 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
             turn(vectors[k], vectors[k + 1], (2.0 if k else 1.0) / half)
             if k:
                 vectors[k + 1] += vectors[k - 1]
-        coeff = 2.0 * table[: order + 1].T
+        coeff = 2.0 * weights[: order + 1].T
         coeff[:, 0] *= 0.5
         return coeff @ vectors
 
@@ -301,23 +305,20 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
     blocks, kept = [], []
     done = 0
     while done < times.size:
-        grid = times[done : done + span]
-        reached, order, table = plan(anchor, grid)
-        if not reached:  # the next sample is out of one step's reach: go part of the way
-            target = grid[:1]
-            while not reached:  # to a phase of 3/4 span, then by halves
-                fraction = min(0.5, 0.75 * span / (half * abs(target[0] - anchor)))
-                target = anchor + fraction * (target - anchor)
-                reached, order, table = plan(anchor, target)
-            anchor, state = float(target[0]), advance(state, order, table[:, :1])[0]
-            continue
-        grid = grid[:reached]
-        rows = advance(state, order, table[:, :reached])
+        ahead = times[done : done + span]
+        back = ahead[0] < anchor  # a grid that starts before t = 0
+        end = max(float(ahead[0]), anchor - step) if back else anchor + step
+        grid = ahead[: 0 if back else np.searchsorted(ahead, end, "right")]
+        if done == 0 and anchor == 0.0 and not back:  # the first step from t = 0
+            weights = table[:, np.r_[phases.size : phases.size + grid.size, best]]
+        else:
+            weights = _bessel(half * (np.append(grid, end) - anchor), order)
+        rows = advance(state, weights)
+        anchor, state, rows = end, rows[-1].copy(), rows[:-1]
         if keep_states:
             kept.append((rows[:, :dim] + 1j * rows[:, dim:]) * np.exp(-1j * centre * grid)[:, None])
-        anchor, state = float(grid[-1]), rows[-1].copy()
         blocks.append(_observables(np.square(rows, out=rows), *doubled))
-        done += reached
+        done += grid.size
     energy, norm, magnon = (
         np.concatenate(parts) if parts[0] is not None else None for parts in zip(*blocks)
     )

@@ -18,6 +18,7 @@ from magnon_battery import (
     enumerate_sector_basis,
     evolve,
 )
+from magnon_battery import dynamics
 from magnon_battery.dynamics import _SLICE_BYTES, Trajectory, _bessel
 from magnon_battery.hilbert import HamiltonianMatrix, _sector
 
@@ -117,7 +118,7 @@ def test_ode_path_lab_frame_states_across_slices():
         assert evolve(h, psi0, times, dense_threshold=0).states is None
 
 
-def test_evolve_validation(one_to_one):
+def test_evolve_validation(one_to_one, monkeypatch):
     _, h, psi0 = one_to_one
     good = np.linspace(0.0, 1.0, 5)
     with pytest.raises(TypeError, match="HamiltonianMatrix"):
@@ -135,10 +136,18 @@ def test_evolve_validation(one_to_one):
     unnorm = StateVector(np.array([0.5, 0.0]), h.basis)
     with pytest.raises(ValueError, match="normalized"):
         evolve(h, unnorm, good)
-    for tol in (0.0, -1e-10, math.inf, math.nan):
+    # below float64 rounding a tol cannot be met: rejected on both paths
+    for tol in (0.0, -1e-10, math.inf, math.nan, 1e-100, np.finfo(float).eps / 2):
         for threshold in (2048, 0):
             with pytest.raises(ValueError, match="tol"):
                 evolve(h, psi0, good, tol=tol, dense_threshold=threshold)
+    # over 1e300 phases a step that float64 times can still take is too
+    # short to finish: refused at the default budget and at 16 vectors per step
+    for budget in (_SLICE_BYTES, 256):
+        monkeypatch.setattr(dynamics, "_SLICE_BYTES", budget)
+        with pytest.raises(FloatingPointError, match="out of reach"):
+            evolve(h, psi0, [0.0, 1e300], dense_threshold=0)
+    monkeypatch.undo()
     unbounded = HamiltonianMatrix(np.diag([math.inf, 0.0]), h.basis)
     for threshold in (2048, 0):
         with pytest.raises(ValueError, match="Gershgorin"):
@@ -204,6 +213,29 @@ def test_chebyshev_reaches_any_grid(times):
     # anchors; a grid before t = 0 is reached backwards from psi0
     h, psi0, _ = _full_register(4)
     _agrees_with_dense(h, psi0, times)
+
+
+@pytest.mark.parametrize("budget", [_SLICE_BYTES, 256], ids=["default-span", "span-16"])
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.linspace(0.0, 30.0, 301),
+        np.linspace(0.0, 30.0, 3001),
+        np.array([0.0, 1.0, 300.0, 301.0]),
+        np.linspace(-40.0, 40.0, 81),
+    ],
+    ids=["uniform", "dense", "gap", "before-zero"],
+)
+def test_chebyshev_state_error_within_tol(times, budget, monkeypatch):
+    # tol bounds the distance from the exact state at every sample; 256 bytes
+    # leave a step 16 vectors, as above 32,768 states, and on the dense grid
+    # a step length holds more samples than a step may
+    monkeypatch.setattr(dynamics, "_SLICE_BYTES", budget)
+    h, psi0, _ = _full_register(3)
+    dense = evolve(h, psi0, times, keep_states=True)
+    for tol in (1e-3, 1e-6, 1e-10):
+        cheb = evolve(h, psi0, times, dense_threshold=0, tol=tol, keep_states=True)
+        assert np.max(np.linalg.norm(cheb.states - dense.states, axis=1)) <= tol
 
 
 def test_chebyshev_complex_hamiltonian():

@@ -288,6 +288,10 @@ def test_bad_scalar_values():
         parse_config(MINIMAL.replace("samples = 51", "samples = 1"))
     with pytest.raises(ConfigError, match="must be > 0"):
         parse_config(MINIMAL.replace("samples = 51", "tol = 0.0"))
+    # a tol below float64 rounding cannot be met
+    for tol in ("1e-100", "1e-16"):
+        with pytest.raises(ConfigError, match=r"tol: must be >= 2\.220446049250313e-16"):
+            parse_config(MINIMAL.replace("samples = 51", f"tol = {tol}"))
     with pytest.raises(ConfigError, match="must be nonzero"):
         parse_config(MINIMAL + "delta = 0.0\n")
     # the full-model sweep cap and its override key are gone
@@ -819,6 +823,9 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     # like [run] tol, the command-line tolerance must be finite
     assert main(["simulate-effective", "--config", str(cfg), "--tol", "inf"]) == 1
     assert "--tol must be finite" in capsys.readouterr().err
+    # and no finer than float64 rounding
+    assert main(["simulate-effective", "--config", str(cfg), "--tol", "1e-100"]) == 1
+    assert "--tol must be finite and >= 2.220446049250313e-16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -897,6 +904,21 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "RiccatiBlowupError" in err
+
+
+def test_cli_unreachable_horizon_exits_2(tmp_path, capsys):
+    # a per-spin 6+6 sector (2,510 states) takes the Chebyshev path, and no
+    # step that float64 times resolve crosses 1e300 in a finite walk
+    spread = "0.10, 0.11, 0.12, 0.13, 0.14, 0.15"
+    path = tmp_path / "huge.ini"
+    path.write_text(
+        "[run]\nmode = simulate-full\nsamples = 3\nhorizon = 1e300\n\n[system]\n"
+        f"n_charger = 6\nm_battery = 6\ng_charger_over_delta = {spread}\ng_battery_over_delta = {spread}\n"
+    )
+    assert main(["simulate-full", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: FloatingPointError" in err
+    assert "out of reach in float64" in err
 
 
 @pytest.mark.parametrize("error", [TypeError, NotImplementedError, RecursionError])
