@@ -2,15 +2,18 @@
 
 ``evolve`` propagates the Schroedinger equation for any Hermitian
 operator produced by this package and samples the battery observables
-on a caller-supplied time grid.  Problems of at most ``dense_threshold``
-states (default 2048) go through a full Hermitian eigendecomposition,
-which makes the phase evolution exact; larger ones, such as the
-per-spin full 6+6 sector (dim 2,510), go to a Chebyshev expansion of
-exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one step
-length and one order, set from ``tol`` by the Bessel coefficients, make
-``tol`` bound the state error on the whole grid, in memory that does not
-grow with the number of samples.  Miller's backward recurrence gives the
-Bessel values; neither ``scipy.integrate`` nor ``scipy.special`` loads.
+on a caller-supplied time grid.  Problems of at most ``DENSE_THRESHOLD``
+states (2048) go through a full Hermitian eigendecomposition, which
+makes the phase evolution exact; larger ones, such as the per-spin full
+6+6 sector (dim 2,510), go to a Chebyshev expansion of exp(-iHt)
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one step length and
+one order, set from ``tol`` by the Bessel coefficients, make ``tol``
+bound the state error on the whole grid.  Every move of the walk is the
+same: the samples within one step of the anchor, in blocks, then one
+step, so the step length does not depend on the grid and memory does
+not grow with the number of samples.  Miller's backward recurrence
+gives the Bessel values; neither ``scipy.integrate`` nor
+``scipy.special`` loads.
 
 The builders store real (float64) matrices.  The dense path makes one
 complex copy of the matrix and keeps the eigendecomposition complex: a
@@ -47,11 +50,15 @@ __all__ = [
 
 DENSE_THRESHOLD = 2048
 
-# the smallest tol: a finer one is below float64 rounding
+# the smallest tol: a finer one is below float64 rounding.  Below about
+# 1e-13, rounding in the Chebyshev recurrence, not truncation, bounds the
+# error, and it grows with the path (per-spin 3+3 at tol = eps: 4.3e-14
+# over t in [0, 3], 3.7e-13 over [0, 30]); the dense path is exact to
+# rounding whatever tol is
 _MIN_TOL = float(np.finfo(float).eps)
 
-# bytes of one Chebyshev step's vectors, of its coefficients and of its
-# sampled amplitude rows, each
+# bytes of one Chebyshev move's vectors, and of one sample block's weights
+# and amplitude rows, each
 _SLICE_BYTES = 8 * 2**20
 
 
@@ -95,13 +102,14 @@ def evolve(
     times,
     *,
     tol: float = 1e-10,
-    dense_threshold: int = DENSE_THRESHOLD,
     keep_states: bool = False,
 ) -> Trajectory:
     """Propagate psi0, the state at t = 0, under h and sample observables on the grid.
 
-    Up to ``dense_threshold`` states the propagation is exact to rounding;
-    above it, ``tol`` bounds the error of the state at every sample.
+    Up to ``DENSE_THRESHOLD`` states the propagation is exact to rounding,
+    whatever ``tol`` is; above it, ``tol`` bounds the error of the state
+    at every sample down to about 1e-13, where float64 rounding in the
+    recurrence takes over, more so on a longer path (see ``_MIN_TOL``).
     """
     if not isinstance(h, HamiltonianMatrix):
         raise TypeError("h must be a HamiltonianMatrix (Hermitian by construction)")
@@ -126,7 +134,7 @@ def evolve(
     _, magnons, batteries = h.basis._counts()
     battery = batteries.astype(float)
     magnon_diag = magnons.astype(float) if h.basis.cutoff else None
-    if h.dimension <= dense_threshold:
+    if h.dimension <= DENSE_THRESHOLD:
         # complex eigh: see the module docstring
         w, v = np.linalg.eigh(h.matrix.astype(complex, copy=False).toarray())
         coeff = v.conj().T @ amps0
@@ -137,17 +145,22 @@ def evolve(
         energy, norm, magnon, states = _chebyshev(
             h.matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_states
         )
-    power = np.zeros_like(energy)
-    positive = times > 0
-    power[positive] = energy[positive] / times[positive]
     return Trajectory(
         times=times,
         energy=energy,
-        power=power,
+        power=_power(times, energy),
         norm=norm,
         magnon=magnon,
         states=states if keep_states else None,
     )
+
+
+def _power(times: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """Average charging power E/t, with P(0) = 0."""
+    power = np.zeros_like(energy)
+    positive = times > 0
+    power[positive] = energy[positive] / times[positive]
+    return power
 
 
 def _observables(probs: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarray | None):
@@ -213,37 +226,35 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_states):
-    """Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984), step by step.
+    """Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984), move by move.
 
-    With X = (H - c)/r, c and r from the Gershgorin interval, a step from
-    the anchor state y at time t_a gives each time t of the step as
+    With X = (H - c)/r, c and r from the Gershgorin interval, the state a
+    time tau after the anchor state y is
 
-        y(t) = sum_k (2 - delta_k0) J_k(r (t - t_a)) (-i)^k T_k(X) y,
+        y(t_a + tau) = sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(X) y,
 
     in the frame rotating at c, whose global phase only kept states get
-    back.  The recurrence builds the vectors (-i)^k T_k(X) y once per step,
-    [Re | Im] side by side, with two real CSR products per order; the
-    step's samples and its end are one real matrix product with them.
+    back.  The recurrence builds the vectors (-i)^k T_k(X) y once per move,
+    [Re | Im] side by side, with two real CSR products per order; samples
+    are then real matrix products of those vectors with Bessel weights.
 
     One step length D and one order K serve the run (Leforestier et al.,
-    J. Comput. Phys. 94, 59, 1991).  A step's vectors, weights and sampled
-    rows must each fit in ``_SLICE_BYTES``: at most ``span`` of each (16
-    above 32,768 states).  So rD < span, and D is at most the path
-    |t_0| + (t_end - t_0) and the grid's narrowest window of span samples:
-    a grid dense in one place pays for it everywhere.  Of 64 phases below
-    that cap, rD is the largest with D >= eps path (or the walk's times
-    stand still) and a tail 2 sum_{k>K} |J_k(rD)| of at most
-    tol D / (path + 2D) for some K in [rD - 1, span); K is the smallest.
-    None left: ``FloatingPointError``.  The same Bessel table holds the
-    weights of a first step from t = 0.
+    J. Comput. Phys. 94, 59, 1991).  A move's vectors, and a block's
+    weights and sampled rows, must each fit in ``_SLICE_BYTES``: at most
+    ``span`` of each (16 above 32,768 states).  Of 64 steps up to
+    min((span - 1)/r, path), path = |t_0| + (t_end - t_0), D is the
+    longest with D >= eps path (or the walk's times stand still) and a
+    tail 2 sum_{k>K} |J_k(rD)| of at most tol D / (path + 2D) for some K
+    in [rD - 1, span); K is the smallest.  None left: ``FloatingPointError``.
 
-    From ``amps0`` at t = 0, the walk moves towards the next sample by at
-    most D, emitting nothing, while that sample lies beyond [t_a, t_a + D];
-    otherwise one step gives every sample in [t_a, t_a + D] and the state
-    at its end.  That is at most path/D + 2 moves.  Below its order a
-    Bessel tail rises with the phase, so a move's end bounds its error at
-    each of its samples, and the shares sum to at most ``tol`` (rounding
-    aside).
+    Every move is the same: from the anchor, at t = 0 first, it gives the
+    next samples that lie within D of the anchor, in blocks of at most
+    span rows with one Bessel table each, and then moves the state by
+    exactly D, or by -D while the next sample lies more than D before the
+    anchor, with the step-choice column J_k(rD) (J_k(-x) = (-1)^k J_k(x)).
+    That is at most path/D + 2 moves.  Below its order a Bessel tail rises
+    with the phase, so D bounds a move's error at each of its samples, and
+    the shares sum to at most ``tol`` (rounding aside).
     """
     centre, half = bounds
     half = half or 1.0  # H = c: X = 0 at any scale
@@ -267,58 +278,49 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
     budget = _SLICE_BYTES // 16
     span = max(16, min(budget // dim, math.isqrt(budget)))
     path = abs(times[0]) + (times[-1] - times[0])
-    window = np.min(times[span - 1 :] - times[: 1 - span], initial=math.inf)
-    # candidate phases, denser near the cap, and the samples that a first
-    # step from t = 0 can reach; the table's rows run past the cap to where
-    # |J_k| < 1e-17
-    cap = min(span - 1, half * path, half * window)
-    phases = cap * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5
-    near = times[: np.searchsorted(times, cap / half, "right") if times[0] >= 0 else 0]
-    table = _bessel(np.append(phases, half * near), 0)
-    tail = 2.0 * np.cumsum(np.abs(table[:0:-1, : phases.size]), axis=0)[::-1][:span]
+    # candidate steps, denser near the cap (the path itself when one step
+    # takes it); the table's rows run on to where |J_k| < 1e-17
+    steps = min((span - 1) / half, path) * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5
+    phases = half * steps
+    table = _bessel(phases, 0)
+    tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1][:span]
     orders = np.arange(len(tail))[:, None]  # tail[K] = 2 sum_{k>K} |J_k|
     fits = (tail <= tol * phases / (half * path + 2 * phases)) & (orders + 1 >= phases)
     fits &= phases >= _MIN_TOL * half * path  # the walk's times must advance
     if not fits.any():
         raise FloatingPointError(f"tol = {tol!r} is out of reach in float64 over {half * path:.3g} phases")
     best = int(np.argmax(fits.any(axis=0)))
-    step, order = float(phases[best] / half), int(np.argmax(fits[:, best]))
+    step, order = float(steps[best]), int(np.argmax(fits[:, best]))
+    # the weights (2 - delta_k0) J_k of a move by D and by -D
+    double = np.where(np.arange(order + 1), 2.0, 1.0)
+    ahead = double * table[: order + 1, best]
+    behind = ahead * (-1.0) ** np.arange(order + 1)
 
-    def advance(state, weights):
-        """[Re | Im] of the amplitudes at the times of the Bessel columns, one row each.
-
-        Row k of ``vectors`` is (-i)^k T_k(X) y: v_{k+1} = v_{k-1} - 2i X v_k.
-        """
-        vectors = np.empty((order + 1, 2 * dim))
-        vectors[0] = state
+    # the diagonals of the observables, once for Re and once for Im
+    doubled = [np.tile(d, 2) if d is not None else None for d in (battery, magnon_diag)]
+    anchor, vectors = 0.0, np.empty((order + 1, 2 * dim))
+    vectors[0] = np.concatenate([amps0.real, amps0.imag])
+    blocks, kept = [], []
+    done = 0
+    while True:
+        # row k of vectors is (-i)^k T_k(X) y: v_{k+1} = v_{k-1} - 2i X v_k
         for k in range(order):
             turn(vectors[k], vectors[k + 1], (2.0 if k else 1.0) / half)
             if k:
                 vectors[k + 1] += vectors[k - 1]
-        coeff = 2.0 * weights[: order + 1].T
-        coeff[:, 0] *= 0.5
-        return coeff @ vectors
-
-    # the diagonals of the observables, once for Re and once for Im
-    doubled = [np.tile(d, 2) if d is not None else None for d in (battery, magnon_diag)]
-    anchor, state = 0.0, np.concatenate([amps0.real, amps0.imag])
-    blocks, kept = [], []
-    done = 0
-    while done < times.size:
-        ahead = times[done : done + span]
-        back = ahead[0] < anchor  # a grid that starts before t = 0
-        end = max(float(ahead[0]), anchor - step) if back else anchor + step
-        grid = ahead[: 0 if back else np.searchsorted(ahead, end, "right")]
-        if done == 0 and anchor == 0.0 and not back:  # the first step from t = 0
-            weights = table[:, np.r_[phases.size : phases.size + grid.size, best]]
-        else:
-            weights = _bessel(half * (np.append(grid, end) - anchor), order)
-        rows = advance(state, weights)
-        anchor, state, rows = end, rows[-1].copy(), rows[:-1]
-        if keep_states:
-            kept.append((rows[:, :dim] + 1j * rows[:, dim:]) * np.exp(-1j * centre * grid)[:, None])
-        blocks.append(_observables(np.square(rows, out=rows), *doubled))
-        done += grid.size
+        back = times[done] < anchor - step  # a grid that starts before t = 0
+        reach = done if back else int(np.searchsorted(times, anchor + step, "right"))
+        for start in range(done, reach, span):
+            grid = times[start : min(start + span, reach)]
+            rows = (double * _bessel(half * (grid - anchor), order)[: order + 1].T) @ vectors
+            if keep_states:
+                kept.append((rows[:, :dim] + 1j * rows[:, dim:]) * np.exp(-1j * centre * grid)[:, None])
+            blocks.append(_observables(np.square(rows, out=rows), *doubled))
+        done = reach
+        if done == times.size:
+            break
+        vectors[0] = (behind if back else ahead) @ vectors
+        anchor += -step if back else step
     energy, norm, magnon = (
         np.concatenate(parts) if parts[0] is not None else None for parts in zip(*blocks)
     )

@@ -49,7 +49,7 @@ from importlib import metadata
 import numpy as np
 
 from .config import SystemConfig
-from .dynamics import _MIN_TOL, Trajectory, charging_horizon, charging_metrics, evolve
+from .dynamics import _MIN_TOL, Trajectory, _power, charging_horizon, charging_metrics, evolve
 from .effective import build_effective_hamiltonian, effective_couplings
 from .hilbert import (
     _sector,
@@ -673,11 +673,8 @@ def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
 def _trajectory(model: str, config: SystemConfig, times: np.ndarray, tol: float) -> Trajectory:
     if model == "analytic":
         energy = np.asarray(_analytic_energy(config, times))
-        power = np.zeros_like(energy)
-        positive = times > 0
-        power[positive] = energy[positive] / times[positive]
         return Trajectory(
-            times=times, energy=energy, power=power, norm=np.ones_like(energy)
+            times=times, energy=energy, power=_power(times, energy), norm=np.ones_like(energy)
         )
     # a builder, a layout (one register per symmetry class, or per spin) and a cutoff
     n = config.n_charger

@@ -8,14 +8,48 @@ functions are the closed-form amplitudes of the analytic models, which
 symmetric class registers into per-spin states from the labels alone.
 ``per_side`` names the classes of one register per side, and
 ``disordered`` draws a config with per-spin couplings and exchange.
+``dense_threshold`` pins ``evolve`` to one propagation path, and
+``count_products`` counts the sparse products that a propagation makes.
 """
 
+import contextlib
 import math
 
 import numpy as np
 
-from magnon_battery import HamiltonianMatrix, SystemConfig
+from magnon_battery import HamiltonianMatrix, SystemConfig, dynamics
 from magnon_battery.analytic import two_to_one_spectrum
+
+
+@contextlib.contextmanager
+def dense_threshold(threshold: int):
+    """Inside the block ``evolve`` diagonalises up to ``threshold`` states.
+
+    0 pins the Chebyshev path; the old value comes back on leaving.
+    """
+    saved = dynamics.DENSE_THRESHOLD
+    dynamics.DENSE_THRESHOLD = threshold
+    try:
+        yield
+    finally:
+        dynamics.DENSE_THRESHOLD = saved
+
+
+def count_products(monkeypatch, matrix) -> list[int]:
+    """Count from now on every ``@`` product of a sparse matrix of ``matrix``'s class.
+
+    Returns a one-item list that holds the running count.
+    """
+    cls = type(matrix)
+    plain = cls.__matmul__
+    count = [0]
+
+    def counted(self, other):
+        count[0] += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(cls, "__matmul__", counted)
+    return count
 
 
 def per_side(n_charger: int, m_battery: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -22,6 +22,8 @@ from magnon_battery import dynamics
 from magnon_battery.dynamics import _SLICE_BYTES, Trajectory, _bessel
 from magnon_battery.hilbert import HamiltonianMatrix, _sector
 
+from helpers import count_products, dense_threshold
+
 
 @pytest.fixture
 def one_to_one():
@@ -64,7 +66,8 @@ def test_dense_and_ode_paths_agree(one_to_one):
     _, h, psi0 = one_to_one
     times = np.linspace(0.0, 200.0, 101)
     dense = evolve(h, psi0, times)
-    ode = evolve(h, psi0, times, dense_threshold=0, tol=1e-12)
+    with dense_threshold(0):
+        ode = evolve(h, psi0, times, tol=1e-12)
     assert np.max(np.abs(dense.energy - ode.energy)) < 1e-9
     assert np.max(np.abs(dense.norm - ode.norm)) < 1e-9
 
@@ -77,7 +80,8 @@ def test_paths_share_the_time_origin():
     psi0 = charged_initial_state(basis)
     times = np.linspace(1.0, 5.0, 41)
     dense = evolve(h, psi0, times, keep_states=True)
-    ode = evolve(h, psi0, times, dense_threshold=0, keep_states=True)
+    with dense_threshold(0):
+        ode = evolve(h, psi0, times, keep_states=True)
     assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
     assert np.max(np.abs(ode.states - dense.states)) <= 1e-6
 
@@ -95,7 +99,8 @@ def test_ode_path_honours_tol():
     h, psi0, coupling = _full_register(3)
     times = np.linspace(0.0, charging_horizon(3, 3, coupling), 401)
     dense = evolve(h, psi0, times)
-    ode = evolve(h, psi0, times, dense_threshold=0, tol=1e-10)
+    with dense_threshold(0):
+        ode = evolve(h, psi0, times, tol=1e-10)
     assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
     assert np.max(np.abs(ode.norm - 1.0)) <= 1e-8
     assert np.max(np.abs(ode.magnon - dense.magnon)) <= 1e-8
@@ -110,12 +115,13 @@ def test_ode_path_lab_frame_states_across_slices():
         times = np.linspace(0.0, charging_horizon(n, n, coupling), samples)
         assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # three slices at least
         dense = evolve(h, psi0, times, keep_states=True)
-        ode = evolve(h, psi0, times, dense_threshold=0, keep_states=True)
+        with dense_threshold(0):
+            ode = evolve(h, psi0, times, keep_states=True)
+            assert evolve(h, psi0, times).states is None
         assert ode.states.shape == (samples, h.dimension)
         # lab-frame amplitudes, global phase included
         assert np.max(np.abs(ode.states - dense.states)) <= 1e-6
         assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
-        assert evolve(h, psi0, times, dense_threshold=0).states is None
 
 
 def test_evolve_validation(one_to_one, monkeypatch):
@@ -139,19 +145,19 @@ def test_evolve_validation(one_to_one, monkeypatch):
     # below float64 rounding a tol cannot be met: rejected on both paths
     for tol in (0.0, -1e-10, math.inf, math.nan, 1e-100, np.finfo(float).eps / 2):
         for threshold in (2048, 0):
-            with pytest.raises(ValueError, match="tol"):
-                evolve(h, psi0, good, tol=tol, dense_threshold=threshold)
+            with dense_threshold(threshold), pytest.raises(ValueError, match="tol"):
+                evolve(h, psi0, good, tol=tol)
     # over 1e300 phases a step that float64 times can still take is too
     # short to finish: refused at the default budget and at 16 vectors per step
     for budget in (_SLICE_BYTES, 256):
         monkeypatch.setattr(dynamics, "_SLICE_BYTES", budget)
-        with pytest.raises(FloatingPointError, match="out of reach"):
-            evolve(h, psi0, [0.0, 1e300], dense_threshold=0)
+        with dense_threshold(0), pytest.raises(FloatingPointError, match="out of reach"):
+            evolve(h, psi0, [0.0, 1e300])
     monkeypatch.undo()
     unbounded = HamiltonianMatrix(np.diag([math.inf, 0.0]), h.basis)
     for threshold in (2048, 0):
-        with pytest.raises(ValueError, match="Gershgorin"):
-            evolve(unbounded, psi0, good, dense_threshold=threshold)
+        with dense_threshold(threshold), pytest.raises(ValueError, match="Gershgorin"):
+            evolve(unbounded, psi0, good)
 
 
 def test_evolve_rejects_a_state_of_another_basis():
@@ -181,7 +187,8 @@ def test_bessel_matches_scipy():
 
 def _agrees_with_dense(h, psi0, times, bound=1e-9):
     dense = evolve(h, psi0, times)
-    cheb = evolve(h, psi0, times, dense_threshold=0, tol=1e-10)
+    with dense_threshold(0):
+        cheb = evolve(h, psi0, times, tol=1e-10)
     assert np.max(np.abs(cheb.energy - dense.energy)) <= bound
     assert np.max(np.abs(cheb.norm - 1.0)) <= bound
     return dense, cheb
@@ -223,19 +230,53 @@ def test_chebyshev_reaches_any_grid(times):
         np.linspace(0.0, 30.0, 3001),
         np.array([0.0, 1.0, 300.0, 301.0]),
         np.linspace(-40.0, 40.0, 81),
+        np.union1d(np.linspace(0.0, 20.0, 41), np.linspace(0.0, 0.01, 20)),
     ],
-    ids=["uniform", "dense", "gap", "before-zero"],
+    ids=["uniform", "dense", "gap", "before-zero", "clustered"],
 )
 def test_chebyshev_state_error_within_tol(times, budget, monkeypatch):
     # tol bounds the distance from the exact state at every sample; 256 bytes
-    # leave a step 16 vectors, as above 32,768 states, and on the dense grid
-    # a step length holds more samples than a step may
+    # leave a move 16 vectors, as above 32,768 states, and on the dense and
+    # clustered grids a step length holds more samples than one block may
     monkeypatch.setattr(dynamics, "_SLICE_BYTES", budget)
     h, psi0, _ = _full_register(3)
     dense = evolve(h, psi0, times, keep_states=True)
     for tol in (1e-3, 1e-6, 1e-10):
-        cheb = evolve(h, psi0, times, dense_threshold=0, tol=tol, keep_states=True)
+        with dense_threshold(0):
+            cheb = evolve(h, psi0, times, tol=tol, keep_states=True)
         assert np.max(np.linalg.norm(cheb.states - dense.states, axis=1)) <= tol
+
+
+def test_chebyshev_step_is_free_of_the_grid(monkeypatch):
+    # at the default budget a path of 120 fits one move, on a grid from 0
+    # and on one before t = 0 alike; at 16 vectors per move, 20 samples
+    # packed into [0, 0.01] cost no more products than the coarse grid
+    # alone, and a grid of two far pairs computes Bessel values once for
+    # the step choice and once per block
+    h, psi0, _ = _full_register(3)
+    products = count_products(monkeypatch, h.matrix)
+
+    def cost(times):
+        products[0] = 0
+        with dense_threshold(0):
+            evolve(h, psi0, times)
+        return products[0]
+
+    assert 0 < cost(np.linspace(-40.0, 40.0, 81)) == cost(np.linspace(0.0, 120.0, 121))
+    monkeypatch.setattr(dynamics, "_SLICE_BYTES", 256)
+    coarse = np.linspace(0.0, 20.0, 41)
+    assert 0 < cost(np.union1d(coarse, np.linspace(0.0, 0.01, 20))) <= cost(coarse)
+    calls = []
+
+    def bessel(x, order):
+        calls.append(x)
+        return _bessel(x, order)
+
+    monkeypatch.setattr(dynamics, "_bessel", bessel)
+    gap = np.array([0.0, 1.0, 300.0, 301.0])
+    with dense_threshold(0):
+        evolve(h, psi0, gap)
+    assert len(calls) <= gap.size + 1  # a block holds one sample at least
 
 
 def test_chebyshev_complex_hamiltonian():

@@ -24,7 +24,7 @@ from magnon_battery import (
 )
 from magnon_battery.hilbert import _mapped, _sector
 
-from helpers import disordered, per_side
+from helpers import dense_threshold, disordered, per_side
 
 
 def test_single_excitation_chain():
@@ -315,9 +315,8 @@ def test_evolve_real_storage_is_bit_identical_to_complex(threshold):
     assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
     psi0 = charged_initial_state(basis)
     times = np.linspace(0.0, 40.0, 81)
-    runs = [
-        evolve(h, psi0, times, dense_threshold=threshold, keep_states=True) for h in (real, cplx)
-    ]
+    with dense_threshold(threshold):
+        runs = [evolve(h, psi0, times, keep_states=True) for h in (real, cplx)]
     for name in ("energy", "power", "norm", "magnon", "states"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
