@@ -7,22 +7,23 @@ states (2048) go through a full Hermitian eigendecomposition, which
 makes the phase evolution exact; larger ones, such as the per-spin full
 6+6 sector (dim 2,510), go to a Chebyshev expansion of exp(-iHt)
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one step length and
-one order, set from ``tol`` by the Bessel coefficients, make ``tol``
-bound the state error on the whole grid.  Every move of the walk is the
-same: the samples within one step of the anchor, in blocks, then one
-step, so the step length does not depend on the grid and memory does
-not grow with the number of samples.  Miller's backward recurrence
-gives the Bessel values; neither ``scipy.integrate`` nor
-``scipy.special`` loads.
+one order, set from ``tol`` by the Bessel coefficients and free of the
+grid, make ``tol`` bound the state error on the whole grid.  Miller's
+backward recurrence gives the Bessel values; neither ``scipy.integrate``
+nor ``scipy.special`` loads.
+
+Both propagators yield the amplitudes of consecutive samples in blocks
+whose amplitudes and probabilities fit in ``_SLICE_BYTES``; ``evolve``
+alone turns a block into E, norm and n_magnon and keeps the states asked
+for.  So, kept states aside, memory does not grow with the grid.
 
 The builders store real (float64) matrices.  The dense path makes one
 complex copy of the matrix and keeps the eigendecomposition complex: a
 real one is about ten times faster, but it returns other eigenvectors
 and rounds E(t) differently, enough to move the earlier of two equal
 peaks of a trajectory, so it waits for a tie rule in
-``charging_metrics``.  The Chebyshev path needs no copy: it applies a
-real matrix to the real and imaginary parts of the state as two real
-CSR products.
+``charging_metrics``.  The Chebyshev path needs no copy: it holds a
+state as interleaved (Re, Im) pairs, a real CSR product for each part.
 
 Energies are reported as battery excitation numbers, i.e. in units of
 the spin splitting omega; times and powers are in raw model units.
@@ -57,8 +58,8 @@ DENSE_THRESHOLD = 2048
 # rounding whatever tol is
 _MIN_TOL = float(np.finfo(float).eps)
 
-# bytes of one Chebyshev move's vectors, and of one sample block's weights
-# and amplitude rows, each
+# bytes of one Chebyshev move's vectors, and of one sample block's
+# amplitudes with their probabilities, each
 _SLICE_BYTES = 8 * 2**20
 
 
@@ -113,70 +114,64 @@ def evolve(
     """
     if not isinstance(h, HamiltonianMatrix):
         raise TypeError("h must be a HamiltonianMatrix (Hermitian by construction)")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("times must be a 1-d grid with at least two samples")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+    times = _checked_grid(times)
     if not (math.isfinite(tol) and tol >= _MIN_TOL):
         raise ValueError(f"tol must be finite and >= {_MIN_TOL!r}")
     amps0 = psi0.amplitudes
     if amps0.shape != (h.dimension,):
-        raise ValueError(
-            f"state dimension {amps0.shape} does not match operator dimension {h.dimension}"
-        )
+        raise ValueError(f"state dimension {amps0.shape} does not match operator dimension {h.dimension}")
     if not psi0.basis._matches(h.basis):
         raise ValueError("psi0 is a state of another basis than h's")
     if abs(np.linalg.norm(amps0) - 1.0) > 1e-12:
         raise ValueError("psi0 is not normalized")
     bounds = _spectral_bounds(h.matrix)
-
-    _, magnons, batteries = h.basis._counts()
-    battery = batteries.astype(float)
-    magnon_diag = magnons.astype(float) if h.basis.cutoff else None
     if h.dimension <= DENSE_THRESHOLD:
-        # complex eigh: see the module docstring
-        w, v = np.linalg.eigh(h.matrix.astype(complex, copy=False).toarray())
-        coeff = v.conj().T @ amps0
-        phases = np.exp(-1j * np.outer(times, w))
-        states = (v @ (phases * coeff).T).T
-        energy, norm, magnon = _observables(np.abs(states) ** 2, battery, magnon_diag)
+        blocks, centre = _dense(h.matrix, amps0, times), 0.0
     else:
-        energy, norm, magnon, states = _chebyshev(
-            h.matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_states
-        )
-    return Trajectory(
-        times=times,
-        energy=energy,
-        power=_power(times, energy),
-        norm=norm,
-        magnon=magnon,
-        states=states if keep_states else None,
-    )
+        blocks, centre = _chebyshev(h.matrix, amps0, times, tol, bounds), bounds[0]
+
+    # one observation loop; a block holds the next samples in the frame rotating at centre
+    magnon_diag, battery = (counts.astype(float) for counts in h.basis._counts()[1:])
+    energy, norm = np.empty(times.size), np.empty(times.size)
+    magnon = np.empty(times.size) if h.basis.cutoff else None
+    states = np.empty((times.size, h.dimension), dtype=complex) if keep_states else None
+    done = 0
+    for amps in blocks:
+        rows = slice(done, done := done + len(amps))
+        if keep_states:
+            states[rows] = amps * np.exp(-1j * centre * times[rows])[:, None]
+        probs = np.abs(amps)
+        probs **= 2
+        energy[rows], norm[rows] = probs @ battery, probs.sum(axis=1)
+        if magnon is not None:
+            magnon[rows] = probs @ magnon_diag
+    return Trajectory(times, energy, _power(times, energy), norm, magnon, states)
+
+
+def _checked_grid(times) -> np.ndarray:
+    """A sample grid as a float array: 1-D, finite, strictly increasing, two samples or more."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("times must be a 1-D grid with at least two samples")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return times
 
 
 def _power(times: np.ndarray, energy: np.ndarray) -> np.ndarray:
     """Average charging power E/t, with P(0) = 0."""
-    power = np.zeros_like(energy)
-    positive = times > 0
-    power[positive] = energy[positive] / times[positive]
-    return power
+    return np.divide(energy, times, out=np.zeros_like(energy), where=times > 0)
 
 
-def _observables(probs: np.ndarray, battery: np.ndarray, magnon_diag: np.ndarray | None):
-    """Battery energy, norm and magnon number of each row of probabilities."""
-    magnon = probs @ magnon_diag if magnon_diag is not None else None
-    return probs @ battery, probs.sum(axis=1), magnon
+def _block_rows(dim: int) -> int:
+    """Samples per block: a block's amplitudes and probabilities fit in ``_SLICE_BYTES``."""
+    return max(1, _SLICE_BYTES // (24 * dim))
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
-
-    Nothing in this module calls it: ``evolve`` propagates by Chebyshev
-    expansion.  The name stays because the benchmark's tracer wraps
-    ``dynamics.solve_ivp`` and its name guard requires it to resolve; both
-    go with the next change to the benchmark.
-    """
+    """``scipy.integrate.solve_ivp``, imported on first call; unused here, the benchmark's tracer wraps it."""
     from scipy import integrate
 
     return integrate.solve_ivp(*args, **kwargs)
@@ -225,36 +220,46 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     return values
 
 
-def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_states):
-    """Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984), move by move.
+def _dense(matrix, amps0, times):
+    """Amplitude blocks from the eigendecomposition of the matrix (complex: see above)."""
+    w, v = np.linalg.eigh(matrix.astype(complex, copy=False).toarray())
+    coeff = v.conj().T @ amps0
+    rows = _block_rows(len(w))
+    for start in range(0, times.size, rows):
+        phases = np.exp(-1j * np.outer(times[start : start + rows], w))
+        yield (v @ (phases * coeff).T).T
+
+
+def _chebyshev(matrix, amps0, times, tol, bounds):
+    """Amplitude blocks from a Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984).
 
     With X = (H - c)/r, c and r from the Gershgorin interval, the state a
     time tau after the anchor state y is
 
         y(t_a + tau) = sum_k (2 - delta_k0) J_k(r tau) (-i)^k T_k(X) y,
 
-    in the frame rotating at c, whose global phase only kept states get
-    back.  The recurrence builds the vectors (-i)^k T_k(X) y once per move,
-    [Re | Im] side by side, with two real CSR products per order; samples
-    are then real matrix products of those vectors with Bessel weights.
+    in the frame rotating at c.  The recurrence builds the vectors
+    (-i)^k T_k(X) y once per move as interleaved (Re, Im) pairs, two real
+    CSR products per order; a block of samples, their real product with
+    Bessel weights, reads as complex amplitudes without a copy.
 
     One step length D and one order K serve the run (Leforestier et al.,
-    J. Comput. Phys. 94, 59, 1991).  A move's vectors, and a block's
-    weights and sampled rows, must each fit in ``_SLICE_BYTES``: at most
-    ``span`` of each (16 above 32,768 states).  Of 64 steps up to
-    min((span - 1)/r, path), path = |t_0| + (t_end - t_0), D is the
-    longest with D >= eps path (or the walk's times stand still) and a
-    tail 2 sum_{k>K} |J_k(rD)| of at most tol D / (path + 2D) for some K
-    in [rD - 1, span); K is the smallest.  None left: ``FloatingPointError``.
+    J. Comput. Phys. 94, 59, 1991).  A move's vectors must fit in
+    ``_SLICE_BYTES``: at most ``span`` of them (16 above 32,768 states).
+    Of 64 steps up to min((span - 1)/r, path), path = |t_0| + (t_end - t_0),
+    D is the longest with D >= eps path (or the walk's times stand still)
+    and a tail 2 sum_{k>K} |J_k(rD)| of at most tol D / (path + 2D) for
+    some K in [rD - 1, span); K is the smallest.  None left:
+    ``FloatingPointError``.
 
     Every move is the same: from the anchor, at t = 0 first, it gives the
-    next samples that lie within D of the anchor, in blocks of at most
-    span rows with one Bessel table each, and then moves the state by
+    next samples within D of the anchor, one Bessel table per span of them,
+    in blocks of at most ``_block_rows``, and then moves the state by
     exactly D, or by -D while the next sample lies more than D before the
-    anchor, with the step-choice column J_k(rD) (J_k(-x) = (-1)^k J_k(x)).
-    That is at most path/D + 2 moves.  Below its order a Bessel tail rises
-    with the phase, so D bounds a move's error at each of its samples, and
-    the shares sum to at most ``tol`` (rounding aside).
+    anchor, with the step-choice column J_k(rD) (J_k(-x) = (-1)^k J_k(x)):
+    at most path/D + 2 moves.  Below its order a Bessel
+    tail rises with the phase, so D bounds a move's error at each of its
+    samples, and the shares sum to at most ``tol`` (rounding aside).
     """
     centre, half = bounds
     half = half or 1.0  # H = c: X = 0 at any scale
@@ -263,17 +268,16 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
     imag = matrix.imag if matrix.dtype.kind == "c" and np.any(matrix.data.imag) else None
 
     def turn(vector, out, scale):
-        """scale * (-i)(H - c) (p + iq), for the state held as [p, q], into out."""
-        p, q = vector[:dim], vector[dim:]
-        out[:dim] = real @ q
-        out[dim:] = real @ p
+        """scale * (-i)(H - c) (p + iq), for the state held as pairs (p, q), into out."""
+        p, q, re, im = vector[0::2], vector[1::2], out[0::2], out[1::2]
+        re[:] = real @ q
+        np.multiply(p, centre, out=im)
+        im -= real @ p
         if imag is not None:  # -iH(p + iq) = (Aq + Bp) - i(Ap - Bq) for H = A + iB
-            out[:dim] += imag @ p
-            out[dim:] -= imag @ q
-        out[:dim] -= centre * q
-        out[dim:] -= centre * p
-        out[:dim] *= scale
-        out[dim:] *= -scale
+            re += imag @ p
+            im += imag @ q
+        re -= centre * q
+        out *= scale
 
     budget = _SLICE_BYTES // 16
     span = max(16, min(budget // dim, math.isqrt(budget)))
@@ -296,12 +300,9 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
     ahead = double * table[: order + 1, best]
     behind = ahead * (-1.0) ** np.arange(order + 1)
 
-    # the diagonals of the observables, once for Re and once for Im
-    doubled = [np.tile(d, 2) if d is not None else None for d in (battery, magnon_diag)]
-    anchor, vectors = 0.0, np.empty((order + 1, 2 * dim))
-    vectors[0] = np.concatenate([amps0.real, amps0.imag])
-    blocks, kept = [], []
-    done = 0
+    anchor, done, rows = 0.0, 0, _block_rows(dim)
+    vectors = np.empty((order + 1, 2 * dim))
+    vectors[0].view(complex)[:] = amps0
     while True:
         # row k of vectors is (-i)^k T_k(X) y: v_{k+1} = v_{k-1} - 2i X v_k
         for k in range(order):
@@ -312,19 +313,13 @@ def _chebyshev(matrix, amps0, times, tol, bounds, battery, magnon_diag, keep_sta
         reach = done if back else int(np.searchsorted(times, anchor + step, "right"))
         for start in range(done, reach, span):
             grid = times[start : min(start + span, reach)]
-            rows = (double * _bessel(half * (grid - anchor), order)[: order + 1].T) @ vectors
-            if keep_states:
-                kept.append((rows[:, :dim] + 1j * rows[:, dim:]) * np.exp(-1j * centre * grid)[:, None])
-            blocks.append(_observables(np.square(rows, out=rows), *doubled))
-        done = reach
-        if done == times.size:
-            break
+            weights = double * _bessel(half * (grid - anchor), order)[: order + 1].T
+            for part in range(0, len(grid), rows):
+                yield (weights[part : part + rows] @ vectors).view(complex)
+        if (done := reach) == times.size:
+            return
         vectors[0] = (behind if back else ahead) @ vectors
         anchor += -step if back else step
-    energy, norm, magnon = (
-        np.concatenate(parts) if parts[0] is not None else None for parts in zip(*blocks)
-    )
-    return energy, norm, magnon, np.concatenate(kept) if keep_states else None
 
 
 def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:

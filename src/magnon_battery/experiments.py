@@ -598,22 +598,28 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         ratios=ratios,
         m_max=m_max,
     )
-    _validate_mode(spec)
+    _validate_mode(spec, run)
     return spec
 
 
-def _validate_mode(spec: ExperimentSpec) -> None:
+def _validate_mode(spec: ExperimentSpec, run: _Section) -> None:
     if spec.mode == "qsd":
         if spec.noise is None:
             raise ConfigError("mode 'qsd' requires a [noise] section")
-        return
-    system = spec.system
-    if system is None:
-        raise ConfigError(f"mode {spec.mode!r} requires a [system] section")
-    if _MODES[spec.mode][2] and not system.is_uniform():
-        raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
-    if spec.mode == "sweep-j" and spec.j_values is None:
-        raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
+        key, longest = "horizon", 2.5 * math.pi / (spec.noise.g**2 / abs(spec.noise.delta))
+    else:
+        system = spec.system
+        if system is None:
+            raise ConfigError(f"mode {spec.mode!r} requires a [system] section")
+        if _MODES[spec.mode][2] and not system.is_uniform():
+            raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
+        if spec.mode == "sweep-j" and spec.j_values is None:
+            raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
+        key = "horizon_factor" if "horizon_factor" in run else "horizon"
+        longest = spec.horizon_factor * math.pi / _coupling_scale(system)  # at max(N, M) = 1
+    # a |G| with a finite inverse can still overflow the default horizon
+    if spec.horizon is None and not math.isfinite(longest):
+        run.fail(key, "the default horizon, a multiple of 1/|G|, overflows; set [run] horizon")
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ diagonal (nothing for a single spin, where it is skipped).
 Every amplitude is real, so the assembler emits float64 values and a
 ``HamiltonianMatrix`` stores the dtype it is given, promoted to at least
 float64: real builds stay real (half the bytes of complex), and their
-Hermitian check is a symmetry check.  ``evolve`` makes the complex copy
-that propagation needs.
+Hermitian check is a symmetry check.  Only the dense path of ``evolve``
+makes a complex copy; the Chebyshev path applies the real matrix.
 
 A config splits its spins into exact symmetry classes
 (``SystemConfig._classes``).  The Hamiltonian and the charged initial

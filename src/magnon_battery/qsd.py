@@ -48,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _checked_grid
+
 __all__ = [
     "QsdParams",
     "FSolution",
@@ -126,13 +128,9 @@ class FSolution:
 
 
 def _validated_grid(t_grid) -> np.ndarray:
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.shape[0] < 2:
-        raise ValueError("time grid must be 1-D with at least two points")
+    times = _checked_grid(t_grid)
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0 (coefficients vanish there)")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
     return times
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,8 +95,9 @@ def _full_register(n):
 
 
 def test_ode_path_honours_tol():
-    # the sector carries a constant omega*N_exc; only a rotating frame
-    # lets the integrator reach its tolerance against exact propagation
+    # the sector carries a constant omega*N_exc; the Chebyshev walk runs in
+    # the frame rotating at the Gershgorin centre, which takes it out, and
+    # meets its tolerance against exact propagation
     h, psi0, coupling = _full_register(3)
     times = np.linspace(0.0, charging_horizon(3, 3, coupling), 401)
     dense = evolve(h, psi0, times)
@@ -108,12 +110,16 @@ def test_ode_path_honours_tol():
 
 
 def test_ode_path_lab_frame_states_across_slices():
-    # per spin 3+3 (dim 42) and 4+4 (dim 163): many steps of 724 samples each
+    # per spin 3+3 (dim 42) and 4+4 (dim 163): more samples than three blocks
+    # of the dense path hold (24 bytes per entry in a block of _SLICE_BYTES);
+    # the Chebyshev path hands them over in blocks of at most 724, in the
+    # frame rotating at its centre, and evolve turns the kept ones back into
+    # the lab frame
     for n in (3, 4):
         h, psi0, coupling = _full_register(n)
         samples = 2 * _SLICE_BYTES // (16 * h.dimension) + 101
         times = np.linspace(0.0, charging_horizon(n, n, coupling), samples)
-        assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # three slices at least
+        assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # over three dense blocks
         dense = evolve(h, psi0, times, keep_states=True)
         with dense_threshold(0):
             ode = evolve(h, psi0, times, keep_states=True)
@@ -133,6 +139,11 @@ def test_evolve_validation(one_to_one, monkeypatch):
         evolve(h, psi0, [0.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         evolve(h, psi0, [0.0, 2.0, 1.0])
+    # a grid that is not finite is bad input on both paths, not a numerical failure
+    for times in ([0.0, 1.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+        for threshold in (2048, 0):
+            with dense_threshold(threshold), pytest.raises(ValueError, match="finite"):
+                evolve(h, psi0, times)
     from magnon_battery import StateVector
 
     big = enumerate_sector_basis(2, 1, 0, 2)
@@ -194,6 +205,25 @@ def _agrees_with_dense(h, psi0, times, bound=1e-9):
     return dense, cheb
 
 
+def test_dense_path_memory_is_free_of_the_grid_length():
+    # the full 30+15 model on one register per side (dim 376): 4,001 samples
+    # already span several blocks, so five times as many peak no higher
+    # (apart from the observables themselves) under tracemalloc
+    cfg = SystemConfig.dispersive(30, 15, g_over_delta=0.01, j_over_delta=1e-4)
+    basis = _sector(cfg._classes, 30, 30, 30)
+    h, psi0 = build_full_hamiltonian(cfg, basis), charged_initial_state(basis)
+    assert h.dimension == 376 and 4001 * h.dimension * 24 > 2 * _SLICE_BYTES
+    peaks = []
+    for samples in (4001, 20001):
+        tracemalloc.start()
+        try:
+            evolve(h, psi0, np.linspace(0.0, 2000.0, samples))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], [f"{peak / 2**20:.1f} MiB" for peak in peaks]
+
+
 def test_chebyshev_holds_tol_on_registers():
     # the full 40+20 model on one register per side (dim 651): a wide magnon
     # ladder, Gershgorin half-width about 20, so thousands of products
@@ -252,7 +282,7 @@ def test_chebyshev_step_is_free_of_the_grid(monkeypatch):
     # and on one before t = 0 alike; at 16 vectors per move, 20 samples
     # packed into [0, 0.01] cost no more products than the coarse grid
     # alone, and a grid of two far pairs computes Bessel values once for
-    # the step choice and once per block
+    # the step choice and once per table of a move's samples
     h, psi0, _ = _full_register(3)
     products = count_products(monkeypatch, h.matrix)
 

@@ -873,6 +873,32 @@ def test_cli_underflowing_coupling_exits_1(tmp_path, capsys, mode, section, key,
     assert f"line {line}: [{name}] {key}: must be nonzero" in err, err
 
 
+@pytest.mark.parametrize(
+    "mode, run, section, key",
+    [
+        ("simulate-effective", "", "[system]\ng_over_delta = 1e-154\n", "horizon"),
+        ("simulate-full", "", "[system]\nn_charger = 2\nm_battery = 1\ng_over_delta = 1e-154\n", "horizon"),
+        ("sweep-n", "", "[system]\ng_over_delta = 1e-154\n\n[sweep]\nn_max = 2\n", "horizon"),
+        ("simulate-effective", "horizon_factor = 1e308\n", "[system]\ng_over_delta = 0.1\n", "horizon_factor"),
+        ("qsd", "", "[noise]\ng_over_delta = 1e-154\n", "horizon"),
+    ],
+    ids=["effective", "full", "sweep-n", "factor", "qsd"],
+)
+def test_cli_overflowing_default_horizon_exits_1(tmp_path, capsys, mode, run, section, key):
+    # |G| = 1e-308 has a finite inverse, but the default horizon, a multiple
+    # of 1/|G|, overflows to a grid of NaNs: a config error that points to
+    # [run] horizon, and a set horizon is the way out
+    path = tmp_path / "far.ini"
+    path.write_text(f"[run]\nmode = {mode}\nsamples = 11\n{run}\n{section}")
+    assert main([mode, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"[run] {key}: the default horizon" in err and "set [run] horizon" in err, err
+    if run:
+        assert "line 4: [run] horizon_factor" in err, err
+    path.write_text(f"[run]\nmode = {mode}\nsamples = 11\nhorizon = 1.0\n\n{section}")
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "far.csv")]) == 0
+
+
 def test_noise_rate_scales_by_the_magnitude_of_delta():
     # delta -> -delta flips the sign of the mode detuning and of g; the
     # noise strength is a rate, so it stays positive and E(t) stays the same

@@ -339,6 +339,22 @@ def test_full_build_peak_memory_per_entry():
     assert peak <= 40 * h.nnz, f"{peak / h.nnz:.1f} bytes per stored entry"
 
 
+def test_effective_build_peak_memory_per_entry():
+    # the same bound for the spin-only build, whose flip-flop hop class sets
+    # its peak (about 37 bytes per stored entry); the basis is enumerated
+    # outside the trace
+    cfg = disordered(7, 7, seed=0)
+    basis = enumerate_sector_basis(7, 7, 0, 7)
+    tracemalloc.start()
+    try:
+        h = build_effective_hamiltonian(cfg, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (h.dimension, h.nnz) == (3432, 168168)
+    assert peak <= 40 * h.nnz, f"{peak / h.nnz:.1f} bytes per stored entry"
+
+
 def test_mapped_arrays_hold_any_length():
     # below and above the size from which the pages are mapped
     for n, dtype in ((0, float), (3, np.int32), (2**17, float), (2**18 + 1, np.int32)):

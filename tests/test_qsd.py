@@ -53,6 +53,11 @@ def test_grid_validation(params):
         solve_calF(params, [0.0])
     with pytest.raises(ValueError, match="1-D"):
         solve_calF(params, [[0.0, 1.0]])
+    # the closed form and the integrator share one grid check
+    for times in ([0.0, 1.0, math.nan], [0.0, math.inf]):
+        for solve in (solve_calF, solve_f12):
+            with pytest.raises(ValueError, match="finite"):
+                solve(params, times)
 
 
 def test_solution_invariants(params):
