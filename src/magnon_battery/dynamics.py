@@ -122,7 +122,7 @@ def evolve(
         raise ValueError(f"state dimension {amps0.shape} does not match operator dimension {h.dimension}")
     if not psi0.basis._matches(h.basis):
         raise ValueError("psi0 is a state of another basis than h's")
-    if abs(np.linalg.norm(amps0) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(amps0) - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError("psi0 is not normalized")
     bounds = _spectral_bounds(h.matrix)
     if h.dimension <= DENSE_THRESHOLD:
@@ -355,7 +355,7 @@ def charging_metrics(traj: Trajectory) -> ChargingMetrics:
         tau = float(times[-1])
         e_max = float(energy[-1])
         p_tau = e_max / tau if tau > 0 else 0.0
-        p_max = float(np.max(traj.power)) if energy.size else 0.0
+        p_max = float(np.max(traj.power))
         return ChargingMetrics(e_max, tau, p_tau, max(p_max, p_tau), monotone=True)
     tau, e_max = _refine_peak(times, energy, i)
     p_tau = e_max / tau
@@ -390,4 +390,4 @@ def charging_horizon(
     """Grid horizon heuristic, factor * pi / (sqrt(max(N, M)) |G|)."""
     if coupling == 0:
         raise ValueError("zero coupling has no charging timescale")
-    return factor * np.pi / (np.sqrt(max(n_charger, m_battery)) * abs(coupling))
+    return factor * math.pi / (math.sqrt(max(n_charger, m_battery)) * abs(coupling))

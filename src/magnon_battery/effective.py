@@ -77,8 +77,6 @@ def _pair_couplings(g, config: SystemConfig) -> np.ndarray:
 
 def effective_couplings(config: SystemConfig) -> EffectiveCouplings:
     """Induced couplings for every spin pair, G = g g' / (omega - omega_m)."""
-    if config.detuning == 0.0:
-        raise ValueError("zero detuning: the dispersive expansion is undefined")
     induced = _pair_couplings(config.g_charger + config.g_battery, config)
     np.fill_diagonal(induced, 0.0)
     induced.setflags(write=False)

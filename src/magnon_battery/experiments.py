@@ -14,9 +14,13 @@ hand-written config follow the same code path and the CSV header can
 echo the exact configuration either way.  Output is deterministic:
 identical config text produces byte-identical CSV.
 
-Energy columns are reported in units of the spin splitting; power in
-units of (splitting x induced coupling magnitude); sweep times in units
-of the inverse induced coupling.
+One run plan serves every mode.  ``_points`` lists the (model, J,
+config) of each trajectory of compare and the sweeps, in grid order:
+model, then J, then size.  Every time grid ends at ``_horizon``: [run]
+horizon, else ``charging_horizon`` at the point's N and M and the
+run's |G| (``_unit``), which for qsd is g^2/|delta| of the noisy chain
+at N = M = 1.  Energy columns are in units of the spin splitting, power in
+units of splitting x |G| and sweep times in units of 1/|G|.
 
 Every mode is one row of the table ``_MODES``: its runner, its model (a
 trajectory mode) or default models (a sweep or compare), and whether it
@@ -586,7 +590,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         noise=noise,
         gammas=gammas,
         horizon=run.get_float("horizon", None, positive=True),
-        horizon_factor=run.get_float("horizon_factor", 1.2, positive=True),
+        horizon_factor=run.get_float("horizon_factor", 2.5 if mode == "qsd" else 1.2, positive=True),
         samples=run.get_int("samples", 1001, minimum=2),
         out=run.get_str("out"),
         threads=run.get_int("threads", 1, minimum=1),
@@ -606,7 +610,6 @@ def _validate_mode(spec: ExperimentSpec, run: _Section) -> None:
     if spec.mode == "qsd":
         if spec.noise is None:
             raise ConfigError("mode 'qsd' requires a [noise] section")
-        key, longest = "horizon", 2.5 * math.pi / (spec.noise.g**2 / abs(spec.noise.delta))
     else:
         system = spec.system
         if system is None:
@@ -615,10 +618,10 @@ def _validate_mode(spec: ExperimentSpec, run: _Section) -> None:
             raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
         if spec.mode == "sweep-j" and spec.j_values is None:
             raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
+    # a |G| with a finite inverse can still overflow the default horizon;
+    # at N = M = 1 it is the longest over every point of the run
+    if not math.isfinite(_horizon(spec)):
         key = "horizon_factor" if "horizon_factor" in run else "horizon"
-        longest = spec.horizon_factor * math.pi / _coupling_scale(system)  # at max(N, M) = 1
-    # a |G| with a finite inverse can still overflow the default horizon
-    if spec.horizon is None and not math.isfinite(longest):
         run.fail(key, "the default horizon, a multiple of 1/|G|, overflows; set [run] horizon")
 
 
@@ -640,15 +643,39 @@ def _at_sweet_spot(j: float, g: float) -> bool:
     return abs(j + g) <= abs(g) * 1e-9
 
 
-def _exchange_values(spec: ExperimentSpec) -> tuple[float, ...]:
-    """J of each exchange setting a sweep or compare asks for, in grid order."""
+def _unit(spec: ExperimentSpec) -> float:
+    """|G|, the unit of time and power: g^2/|delta| of qsd's chain, else the system's, which every point shares."""
+    if spec.mode == "qsd":
+        return spec.noise.g**2 / abs(spec.noise.delta)
+    return _coupling_scale(spec.system)
+
+
+def _horizon(spec: ExperimentSpec, config: SystemConfig | None = None) -> float:
+    """[run] horizon, else ``charging_horizon`` at config's N and M, or at N = M = 1 without one."""
+    if spec.horizon is not None:
+        return spec.horizon
+    n, m = (config.n_charger, config.m_battery) if config else (1, 1)
+    return charging_horizon(n, m, _unit(spec), factor=spec.horizon_factor)
+
+
+def _points(spec: ExperimentSpec) -> list[tuple[str, float, SystemConfig]]:
+    """(model, J, config) of every trajectory of compare or a sweep: model, then J, then size."""
+    base = spec.system
     if spec.mode in ("sweep-n", "sweep-nm"):
-        sweet = -_induced(spec.system)
-        return tuple(0.0 if name == "zero" else sweet for name in spec.exchanges)
-    if spec.j_values is not None:
-        return spec.j_values
-    config = spec.system  # the J of a uniform config: the charger's if it has a pair
-    return (float(config.j_charger[0, -1] if config.n_charger >= 2 else config.j_battery[0, -1]),)
+        exchanges = tuple(0.0 if name == "zero" else -_induced(base) for name in spec.exchanges)
+    elif spec.j_values is not None:
+        exchanges = spec.j_values
+    else:  # the J of a uniform config: the charger's if it has a pair
+        exchanges = (float(base.j_charger[0, -1] if base.n_charger >= 2 else base.j_battery[0, -1]),)
+    sizes = {
+        "sweep-n": [(n, base.m_battery) for n in range(spec.n_range[0], spec.n_range[1] + 1)],
+        "sweep-nm": [(ratio * m, m) for ratio in spec.ratios for m in range(1, spec.m_max + 1)],
+    }.get(spec.mode, [(base.n_charger, base.m_battery)])
+    g_c, g_b = base.g_charger[0], base.g_battery[0]
+    return [
+        (model, j, replace(base, n_charger=n, m_battery=m, g_charger=g_c, g_battery=g_b, j_charger=j, j_battery=j))
+        for model in spec.models for j in exchanges for n, m in sizes
+    ]
 
 
 def _analytic_energy(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -731,48 +758,30 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _time_grid(spec: ExperimentSpec, horizon: float) -> np.ndarray:
-    return np.linspace(0.0, horizon, spec.samples)
-
-
-def _system_horizon(spec: ExperimentSpec, config: SystemConfig) -> float:
-    if spec.horizon is not None:
-        return spec.horizon
-    return charging_horizon(
-        config.n_charger, config.m_battery, _coupling_scale(config), factor=spec.horizon_factor
-    )
-
-
 def _run_trajectory(spec: ExperimentSpec):
     config = spec.system
-    times = _time_grid(spec, _system_horizon(spec, config))
+    times = np.linspace(0.0, _horizon(spec, config), spec.samples)
     traj = _trajectory(spec.models[0], config, times, spec.tol)
     magnon = traj.magnon if traj.magnon is not None else np.zeros_like(traj.energy)
-    block = (traj.times, traj.energy, traj.power / _coupling_scale(config), traj.norm, magnon)
+    block = (traj.times, traj.energy, traj.power / _unit(spec), traj.norm, magnon)
     return ["t", "E_over_omega", "P_over_Gomega", "norm", "n_magnon"], [block]
 
 
 def _run_compare(spec: ExperimentSpec):
-    base = spec.system
-    scale = _coupling_scale(base)
-    times = _time_grid(spec, _system_horizon(spec, base))
-    points = [(model, j) for model in spec.models for j in _exchange_values(spec)]
+    scale = _unit(spec)
 
     def one(point):
-        model, j = point
-        traj = _trajectory(model, replace(base, j_charger=j, j_battery=j), times, spec.tol)
-        return (model, _fmt(j / base.detuning), traj.times, traj.energy, traj.power / scale)
+        model, j, config = point
+        traj = _trajectory(model, config, np.linspace(0.0, _horizon(spec, config), spec.samples), spec.tol)
+        return (model, _fmt(j / config.detuning), traj.times, traj.energy, traj.power / scale)
 
-    blocks = _map_ordered(one, points, spec.threads)
+    blocks = _map_ordered(one, _points(spec), spec.threads)
     return ["model", "j_over_delta", "t", "E_over_omega", "P_over_Gomega"], blocks
 
 
 def _run_qsd(spec: ExperimentSpec):
     template = spec.noise
-    horizon = spec.horizon
-    if horizon is None:
-        horizon = 2.5 * math.pi / (template.g**2 / abs(template.delta))
-    times = _time_grid(spec, horizon)
+    times = np.linspace(0.0, _horizon(spec), spec.samples)
 
     def one(gamma):
         return solve_calF(replace(template, gamma_noise=gamma), times, spec.tol)
@@ -786,43 +795,20 @@ def _run_qsd(spec: ExperimentSpec):
     return columns, blocks
 
 
-def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, int, int, float]]:
-    """(model, N, M, J) in deterministic grid order: model, then J, then size."""
-    base = spec.system
-    if spec.mode == "sweep-n":
-        sizes = [(n, base.m_battery) for n in range(spec.n_range[0], spec.n_range[1] + 1)]
-    elif spec.mode == "sweep-nm":
-        sizes = [(ratio * m, m) for ratio in spec.ratios for m in range(1, spec.m_max + 1)]
-    else:
-        sizes = [(base.n_charger, base.m_battery)]
-    return [(model, n, m, j) for model in spec.models for j in _exchange_values(spec) for n, m in sizes]
-
-
 def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:
     """Charging metrics over the sweep grid, in deterministic grid order."""
-    base = spec.system
-    scale = abs(_induced(base))
+    scale = _unit(spec)
 
     def one(point):
-        model, n, m, j = point
-        config = replace(
-            base, n_charger=n, m_battery=m, g_charger=base.g_charger[0], g_battery=base.g_battery[0],
-            j_charger=j, j_battery=j,
-        )
-        traj = _trajectory(model, config, _time_grid(spec, _system_horizon(spec, config)), spec.tol)
+        model, j, config = point
+        traj = _trajectory(model, config, np.linspace(0.0, _horizon(spec, config), spec.samples), spec.tol)
         metrics = charging_metrics(traj)
         return SweepRow(
-            model=model,
-            n_charger=n,
-            m_battery=m,
-            j_over_delta=j / base.detuning,
-            e_max=metrics.e_max,
-            tau=metrics.tau * scale,
-            p_tau=metrics.p_tau / scale,
-            p_max=metrics.p_max / scale,
+            model, config.n_charger, config.m_battery, j / config.detuning, e_max=metrics.e_max,
+            tau=metrics.tau * scale, p_tau=metrics.p_tau / scale, p_max=metrics.p_max / scale,
         )
 
-    return _map_ordered(one, _sweep_points(spec), spec.threads)
+    return _map_ordered(one, _points(spec), spec.threads)
 
 
 def _run_sweep(spec: ExperimentSpec):

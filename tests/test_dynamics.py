@@ -153,6 +153,10 @@ def test_evolve_validation(one_to_one, monkeypatch):
     unnorm = StateVector(np.array([0.5, 0.0]), h.basis)
     with pytest.raises(ValueError, match="normalized"):
         evolve(h, unnorm, good)
+    # a NaN norm is no norm: rejected on both paths, not propagated as NaN energies
+    for threshold in (2048, 0):
+        with dense_threshold(threshold), pytest.raises(ValueError, match="not normalized"):
+            evolve(h, StateVector(np.array([math.nan, 0.0]), h.basis), good)
     # below float64 rounding a tol cannot be met: rejected on both paths
     for tol in (0.0, -1e-10, math.inf, math.nan, 1e-100, np.finfo(float).eps / 2):
         for threshold in (2048, 0):

@@ -134,13 +134,6 @@ def test_second_order_coupling_gives_induced_couplings():
         np.testing.assert_allclose(got.real, want, rtol=1e-15, atol=0.0)
 
 
-def test_zero_detuning_rejected():
-    cfg = SystemConfig.uniform(1, 1, g=0.1, omega=5.0, omega_m=6.0)
-    object.__setattr__(cfg, "omega_m", 5.0)  # sidestep the constructor guard
-    with pytest.raises(ValueError, match="detuning"):
-        effective_couplings(cfg)
-
-
 def test_effective_matrix_two_to_one():
     cfg = SystemConfig.dispersive(2, 1, g_over_delta=0.1, j_over_delta=0.03)
     h = build_effective_hamiltonian(cfg).toarray()

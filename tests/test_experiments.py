@@ -881,8 +881,9 @@ def test_cli_underflowing_coupling_exits_1(tmp_path, capsys, mode, section, key,
         ("sweep-n", "", "[system]\ng_over_delta = 1e-154\n\n[sweep]\nn_max = 2\n", "horizon"),
         ("simulate-effective", "horizon_factor = 1e308\n", "[system]\ng_over_delta = 0.1\n", "horizon_factor"),
         ("qsd", "", "[noise]\ng_over_delta = 1e-154\n", "horizon"),
+        ("qsd", "horizon_factor = 1e308\n", "[noise]\ng_over_delta = 0.1\n", "horizon_factor"),
     ],
-    ids=["effective", "full", "sweep-n", "factor", "qsd"],
+    ids=["effective", "full", "sweep-n", "factor", "qsd", "qsd-factor"],
 )
 def test_cli_overflowing_default_horizon_exits_1(tmp_path, capsys, mode, run, section, key):
     # |G| = 1e-308 has a finite inverse, but the default horizon, a multiple
@@ -897,6 +898,25 @@ def test_cli_overflowing_default_horizon_exits_1(tmp_path, capsys, mode, run, se
         assert "line 4: [run] horizon_factor" in err, err
     path.write_text(f"[run]\nmode = {mode}\nsamples = 11\nhorizon = 1.0\n\n{section}")
     assert main([mode, "--config", str(path), "--out", str(tmp_path / "far.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "mode", ["simulate-full", "simulate-effective", "collective", "analytic", "compare", "qsd"]
+)
+def test_default_horizon_is_horizon_factor_charging_periods(mode):
+    # one rule for every mode: with [run] horizon unset the grid ends at
+    # horizon_factor * pi / (sqrt(max(N, M)) |G|); qsd's chain has N = M = 1
+    # and |G| = g^2/|delta|, and keeps its default factor of 2.5
+    if mode == "qsd":
+        section, period = "[noise]\ng_over_delta = 0.1\ndelta = 2.0\n", math.pi * 2.0 / 0.2**2
+    else:
+        section = "[system]\nn_charger = 2\nm_battery = 1\ng_over_delta = 0.1\ndelta = 2.0\n"
+        period = math.pi * 2.0 / (math.sqrt(2) * 0.2**2)
+    for run, factor in (("horizon_factor = 1.0\n", 1.0), ("", 2.5 if mode == "qsd" else 1.2)):
+        text = run_experiment(parse_config(f"[run]\nmode = {mode}\nsamples = 11\n{run}\n{section}"))
+        header = next(line for line in text.splitlines() if not line.startswith("#")).split(",")
+        last = float(_table(text)[-1][header.index("t")])
+        assert last == pytest.approx(factor * period, rel=1e-12), (run, last)
 
 
 def test_noise_rate_scales_by_the_magnitude_of_delta():
