@@ -502,7 +502,9 @@ def _parse_system(section: _Section) -> SystemConfig | None:
         )
     except ValueError as exc:
         raise ConfigError(f"[{section.name}]: {exc}") from None
-    _check_induced(section, weaker if weaker in section else gk, _coupling_scale(config))
+    with np.errstate(over="ignore"):  # an overflowing pair product reads inf, rejected below
+        induced = _coupling_scale(config)
+    _check_induced(section, weaker if weaker in section else gk, induced)
     return config
 
 
@@ -530,7 +532,7 @@ def _parse_noise(section: _Section) -> tuple[QsdParams | None, tuple[float, ...]
         raise ConfigError(f"[{section.name}]: {exc}") from None
     if template.delta == 0.0:
         section.missing("the mode must be detuned (omega_m != omega)")
-    _check_induced(section, "g" + unit, g**2 / abs(template.delta))
+    _check_induced(section, "g" + unit, g * g / abs(template.delta))
     return template, gammas
 
 
@@ -646,7 +648,7 @@ def _at_sweet_spot(j: float, g: float) -> bool:
 def _unit(spec: ExperimentSpec) -> float:
     """|G|, the unit of time and power: g^2/|delta| of qsd's chain, else the system's, which every point shares."""
     if spec.mode == "qsd":
-        return spec.noise.g**2 / abs(spec.noise.delta)
+        return spec.noise.g * spec.noise.g / abs(spec.noise.delta)
     return _coupling_scale(spec.system)
 
 

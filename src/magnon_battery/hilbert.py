@@ -22,13 +22,14 @@ configuration first and makes every built matrix reproducible entry for
 entry.
 
 Each basis holds its labels as an integer occupation array (one row per
-label) and ranks every row by a mixed-radix key, base K+1 per
-column.  A hop changes a key by a fixed stride, so the targets of a
-whole term class are found with one ``searchsorted`` over the sorted
-keys, whatever the label order; targets outside the basis (beyond a
-truncated cutoff, or in another sector) are dropped.  The full model,
-the effective model, the battery energy operator and the collective
-model are all emitted by the one assembler ``_assemble`` from a
+label) and ranks every row by a mixed-radix key, base K+1 per column.
+Moving one excitation between two columns shifts a key by a fixed
+amount, so a dense key -> position table (``searchsorted`` over the
+sorted keys where the key space is too large for one) finds the targets
+of every row, whatever the label order; targets outside the basis (a
+truncated cutoff, another sector) are dropped.  The one assembler
+``_assemble`` writes the full model, the effective model, the battery
+energy operator and the collective model straight into CSR rows, from a
 diagonal, per-register mode couplings and a register flip-flop matrix.
 Lowering a register that holds n of its K excitations carries the ladder
 factor sqrt(n(K-n+1)), raising it sqrt((n+1)(K-n)); both are exactly 1
@@ -384,6 +385,10 @@ def _mapped(n: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, **_MAP_OPTIONS), dtype)
 
 
+# (row, move) cells per block of the move table: a few MiB of temporaries
+_BLOCK_CELLS = 2**17
+
+
 def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
     """Real sparse matrix of an excitation-conserving Hamiltonian on the basis.
 
@@ -396,86 +401,97 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     pairs where it is zero are not stored.  ``flip_flop[s, s]`` is the
     exchange J among the spins of register s, which adds J n(K-n) to the
     diagonal.  Every hop also carries the ladder factors of the registers
-    it lowers and raises, and is emitted with its transpose partner.
+    it lowers and raises, and is stored with its transpose partner.
 
-    Each term class keeps only its emitted part (int32 indices below 2**31
-    states); the parts are copied into the COO triplets in emission order,
-    each freed once copied, so parts, triplets and CSR never coexist.
-    The triplet values, the largest block alive beside scipy's CSR output,
-    are mapped (``_mapped``): on the heap, where that output must find room
-    too, they made the resident peak of repeated per-spin 8+8 builds read
-    132 or 139.5 MB depending on the process, and about 131 MB in every
-    process once mapped.
+    One table of moves holds every entry: the diagonal, or one excitation
+    moved from label column x to y.  Sorted by key shift, largest first,
+    a row's moves give its entries in CSR order on a basis in descending
+    key order (others are sorted once); rows are written in place, block
+    by block.  A value is the amplitude times the magnon factor, then the
+    ladder factors by ascending column.  The values are mapped
+    (``_mapped``), so the resident peak does not depend on the heap.
     """
     k = basis._mode
-    occ, strides, keys = basis._occupations, basis._strides, basis._keys
-    dim = basis.dimension
-    index = np.int32 if dim < 2**31 else np.int64
-    regs = np.r_[0:k, k + 1 : occ.shape[1]]
-    capacity, reg_strides = basis._capacity[regs], strides[regs]
-    lowerable, raisable = (occ > 0)[:, regs], (occ < basis._capacity)[:, regs]
-    single = capacity.max(initial=0) <= 1  # every ladder factor is exactly 1
-    parts = []  # (rows, cols, values), in entry order
-
-    def hop(p, q, forward, backward):
-        p, q = p.astype(index), q.astype(index)
-        parts.extend(((q, p, forward), (p, q, backward)))
-
-    def targets(p, shift):
-        q = basis._positions(keys[p] + shift)
-        hit = q >= 0
-        return hit, q[hit]
-
-    def ladder(p, s, shift):
-        # sqrt(n(K-n+1)), n the larger occupation of register s across the
-        # hop: the one in label p when it lowers (shift 0), one more when it raises
-        n = occ[p, regs[s]] + shift
-        return np.sqrt(n * (capacity[s] - n + 1))
-
-    # each term class is a function, so its temporaries go when it returns
-    def mode_hops():
-        # register s lowers, the magnon raises
-        p, s = np.nonzero(lowerable & (occ[:, k, None] < basis.cutoff))
-        hit, q = targets(p, strides[k] - reg_strides[s])
-        p, s = p[hit], s[hit]
-        amp = np.asarray(couplings, dtype=float)[s] * np.sqrt(occ[q, k])
-        if not single:
-            amp *= ladder(p, s, 0)
-        hop(p, q, amp, amp)
-
-    def flip_flop_hops(a, b):
-        # the excitation moves from register a to register b
-        p, j = np.nonzero(lowerable[:, a] & raisable[:, b])
-        hit, q = targets(p, reg_strides[b[j]] - reg_strides[a[j]])
-        p, a, b = p[hit], a[j[hit]], b[j[hit]]
-        forward, backward = flip_flop[a, b], flip_flop[b, a]
-        if not single:
-            for factor in (ladder(p, a, 0), ladder(p, b, 1)):
-                forward *= factor
-                backward *= factor
-        hop(p, q, forward, backward)
-
+    occ, capacity, keys = basis._occupations, basis._capacity, basis._keys
+    dim, width = occ.shape
+    regs = np.r_[0:k, k + 1 : width]
+    single = capacity[regs].max(initial=0) <= 1  # every ladder factor is exactly 1
     own = np.diag(flip_flop)
     if not single and own.any():
         # sum_{i<j} J (s+_i s-_j + h.c.) = J (S+S- - n) = J n(K-n) on the irrep
         held = occ[:, regs]
-        exchange = (held * (capacity - held)) @ own
+        exchange = (held * (capacity[regs] - held)) @ own
         diagonal = exchange if diagonal is None else diagonal + exchange
-    if diagonal is not None:
-        every = np.arange(dim, dtype=index)
-        parts.append((every, every, np.asarray(diagonal, dtype=float)))
-    if couplings is not None:
-        mode_hops()
-    flip_flop_hops(*np.nonzero(np.triu(flip_flop, 1)))
 
-    nnz = sum(len(values) for _, _, values in parts)
-    rows, cols, vals = np.empty(nnz, index), np.empty(nnz, index), _mapped(nnz, float)
-    start = 0
-    while parts:
-        end = start + len(parts[0][2])
-        rows[start:end], cols[start:end], vals[start:end] = parts.pop(0)  # freed once copied
-        start = end
-    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    # move j takes a row to the label with one excitation moved from column
+    # x[j] to column y[j]; its entry is the amplitude of the reverse move
+    a, b = np.nonzero(np.triu(flip_flop, 1))
+    x, y, amp = [regs[a], regs[b]], [regs[b], regs[a]], [flip_flop[b, a], flip_flop[a, b]]
+    if couplings is not None:
+        g, mode = np.asarray(couplings, dtype=float), np.full(len(regs), k)
+        x, y, amp = x + [regs, mode], y + [mode, regs], amp + [g, g]
+    if diagonal is not None:
+        diagonal = np.asarray(diagonal, dtype=float)
+        x, y, amp = x + [[width]], y + [[width]], amp + [[0.0]]
+    x, y, amp = map(np.concatenate, (x, y, amp))
+    strides = np.append(basis._strides, 0)
+    order = np.argsort(strides[x] - strides[y])  # key shift, largest first
+    x, y, amp, shift = x[order], y[order], amp[order], (strides[y] - strides[x])[order]
+
+    # factor tables over one column's occupation before each move (1 where
+    # a move has none): the magnon's sqrt(n), then ladders by ascending column
+    n = np.arange(capacity.max(initial=0) + 1)
+    moved = (x == k) | (y == k)
+    slots = []
+    if couplings is not None:
+        slots.append((np.where(moved, k, 0), np.where(moved[:, None], np.sqrt(n + (y == k)[:, None]), 1.0)))
+    if not single:  # a mode hop's register, or a flip-flop's lower then higher column
+        for col in (np.where(moved, x + y - k, np.minimum(x, y)), np.where(moved, width, np.maximum(x, y))):
+            on, col = col < width, np.where(col < width, col, 0)
+            m = n + (col == y)[:, None]  # the larger occupation across the move
+            rungs = np.sqrt(np.maximum(m * (capacity[col][:, None] - m + 1), 0))
+            slots.append((col, np.where(on[:, None], rungs, 1.0)))
+    if slots:  # the amplitude times the first factor
+        slots[0] = (slots[0][0], amp[:, None] * slots[0][1])
+
+    every = np.ones((dim, 1), bool)  # column `width`, the diagonal's, open in every row
+    lower, upper = np.hstack([occ > 0, every]), np.hstack([occ < capacity, every])
+
+    step = max(1, _BLOCK_CELLS // max(1, len(x)))  # rows per block
+    hops = np.zeros((width + 1, width + 1))
+    hops[x, y] = 1.0  # so lower @ hops * upper sums to the moves each row can make
+    counts = [(lower[s : s + step] @ hops * upper[s : s + step]).sum(axis=1) for s in range(0, dim, step)]
+    indptr = np.cumsum(np.concatenate([[0.0], *counts]))
+    index = np.int32 if max(dim, indptr[-1]) < 2**31 else np.int64
+    indptr = indptr.astype(index)
+    find, space = basis._positions, math.prod((capacity + 1).tolist())
+    if keys.dtype == np.int64 and space <= max(2**21, 2 * occ.size):  # a dense key table
+        table = np.full(space, -1, index)
+        table[keys] = np.arange(dim, dtype=index)
+        find = table.__getitem__
+    digits = occ.ravel()
+    indices, data = np.empty(indptr[-1], index), _mapped(indptr[-1], float)
+    for start in range(0, dim, step):
+        mask = lower[start : start + step][:, x] & upper[start : start + step][:, y]
+        r, j = np.divmod(np.flatnonzero(mask) + start * len(x), len(x))
+        at = slice(indptr[start], indptr[start + len(mask)])
+        indices[at] = find(keys[r] + shift[j])
+        factors = [t.ravel()[j * t.shape[1] + digits[r * width + c[j]]] for c, t in slots]
+        value = factors[0] if slots else amp[j]
+        for factor in factors[1:]:
+            value *= factor
+        if diagonal is not None:
+            on = x[j] == width
+            value[on] = diagonal[r[on]]
+        data[at] = value
+
+    missing = indices < 0
+    if missing.any():  # a basis that is not closed under the hops
+        indptr -= np.r_[0, np.cumsum(missing)][indptr]
+        indices, data = indices[~missing], data[~missing]
+    csr = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    csr.sort_indices()  # already sorted on a basis in descending key order
+    return csr
 
 
 def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> HamiltonianMatrix:

@@ -13,10 +13,13 @@ mixed symmetry classes are checked against the projected Kronecker
 operators through an embedding built from the labels alone.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from magnon_battery import (
+    SectorBasis,
     StateVector,
     SystemConfig,
     basis_state,
@@ -24,11 +27,13 @@ from magnon_battery import (
     build_collective_hamiltonian,
     build_effective_hamiltonian,
     build_full_hamiltonian,
+    charged_initial_state,
     dicke_embed,
     effective_couplings,
     enumerate_composite_basis,
     enumerate_sector_basis,
 )
+from magnon_battery import dynamics
 from magnon_battery.hilbert import _sector
 
 from helpers import class_isometry, disordered, per_side
@@ -254,13 +259,80 @@ def test_zero_amplitude_pairs_are_not_stored():
 
 
 def test_keys_beyond_63_bits():
-    # 71 spins: the label keys outgrow int64, the one-excitation sector stays tiny
-    cfg = SystemConfig.dispersive(1, 70, g_over_delta=0.1)
-    h = build_effective_hamiltonian(cfg)
-    coupling = 0.1**2 / (cfg.omega - cfg.omega_m)
-    want = coupling * (np.ones((71, 71)) - np.eye(71))
-    assert np.max(np.abs(h.toarray() - want)) <= 1e-15
-    assert h.nnz == 71 * 70
+    # 71 spins: the label keys outgrow int64, the one-excitation sector stays
+    # tiny; 46 spins: the keys fit int64, but their space is far too large
+    # for a dense key table, so both find their targets by searchsorted
+    for m, key_type in ((70, object), (45, np.int64)):
+        cfg = SystemConfig.dispersive(1, m, g_over_delta=0.1)
+        h = build_effective_hamiltonian(cfg)
+        assert h.basis._keys.dtype == key_type
+        coupling = 0.1**2 / (cfg.omega - cfg.omega_m)
+        want = coupling * (np.ones((m + 1, m + 1)) - np.eye(m + 1))
+        assert np.max(np.abs(h.toarray() - want)) <= 1e-15
+        assert h.nnz == (m + 1) * m
+
+
+def _reordered(basis, rows):
+    """The basis of the given rows of basis's labels, in that order."""
+    return SectorBasis(
+        basis._classes, basis.n_charger, basis.cutoff, basis._occupations[rows], basis.n_excitations
+    )
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "partial"])
+def test_models_on_reordered_and_partial_bases(kind):
+    # labels out of descending key order, and a basis that is not closed
+    # under the hops, whose missing targets are dropped
+    cfg, rng = disordered(), np.random.default_rng(5)
+    for basis, (space, h) in (
+        (enumerate_sector_basis(3, 2, 3, 3), _full_operator(cfg, 3)),
+        (enumerate_sector_basis(3, 2, 0, 3), _effective_operator(cfg)),
+    ):
+        rows = rng.permutation(basis.dimension)
+        if kind == "partial":
+            rows = rows[: basis.dimension // 2]
+        basis = _reordered(basis, rows)
+        build = build_full_hamiltonian if basis.cutoff else build_effective_hamiltonian
+        built = build(cfg, basis).toarray()
+        assert np.max(np.abs(built - space.project(h, basis.labels))) <= 1e-12
+
+
+# sha256 of dtype and bytes of indptr, indices and data, in that order
+PINNED = {
+    "full": "a6e2040eaf57adffccddb70647bcee02f4e04c8e70429baf566992615b75e89e",
+    "effective": "f36a98aa6c8d1c7510a65faddf0c6c7b695b3f1c16f1fd718e45ab589c3fab15",
+    "battery": "95fd988441e30c356ab346ffdac614fdd91c0727d444b3b4a8604f42d1f84de9",
+    "register": "3f1a633dcb916a593a5633e2f295a1383c903cb121818f70eb5732532cb8b73b",
+}
+
+
+def _digest(matrix) -> str:
+    digest = hashlib.sha256()
+    for part in (matrix.indptr, matrix.indices, matrix.data):
+        digest.update(part.dtype.str.encode() + part.tobytes())
+    return digest.hexdigest()
+
+
+def test_csr_arrays_are_pinned(monkeypatch):
+    # the exact indptr, indices and data, dtypes included, of per-spin 4+4
+    # builds and of a 20+10 register build: recorded from the COO assembler
+    # that the move table replaced, which it reproduces bit for bit
+    built = {}
+    plain = dynamics._assemble
+
+    def kept(*args):
+        built["battery"] = plain(*args)
+        return built["battery"]
+
+    monkeypatch.setattr(dynamics, "_assemble", kept)
+    cfg = disordered(4, 4, seed=0)
+    basis = enumerate_sector_basis(4, 4, 4, 4)
+    built["full"] = build_full_hamiltonian(cfg, basis).matrix
+    built["effective"] = build_effective_hamiltonian(cfg).matrix
+    battery_energy_full(charged_initial_state(basis), basis, cfg)
+    cfg = SystemConfig.dispersive(20, 10, g_over_delta=0.1, j_over_delta=0.01)
+    built["register"] = build_full_hamiltonian(cfg, _sector(cfg._classes, 20, 20, 20)).matrix
+    assert {name: _digest(matrix) for name, matrix in built.items()} == PINNED
 
 
 def _matrix(size, within, between, classes):

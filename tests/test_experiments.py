@@ -859,12 +859,18 @@ def test_cli_zero_coupling_exits_1(tmp_path, capsys, mode, extra, key, line):
          "g_battery_over_delta", 7),
         ("qsd", "[noise]\ng_over_delta = 1e-200\n", "g_over_delta", 6),
         ("qsd", "[noise]\ng = 1e-160\nomega = 10.0\nomega_m = 11.0\n", "g", 6),
+        ("simulate-effective", "[system]\ng = 1e200\nomega = 10.0\nomega_m = 11.0\n", "g", 6),
+        ("qsd", "[noise]\ng = 1e200\nomega = 10.0\nomega_m = 11.0\n", "g", 6),
     ],
-    ids=["system-zero", "system-subnormal", "battery-subnormal", "noise-zero", "noise-raw-subnormal"],
+    ids=[
+        "system-zero", "system-subnormal", "battery-subnormal", "noise-zero", "noise-raw-subnormal",
+        "system-raw-overflow", "noise-raw-overflow",
+    ],
 )
 def test_cli_underflowing_coupling_exits_1(tmp_path, capsys, mode, section, key, line):
     # G = g g'/(omega - omega_m) that underflows to 0, or whose inverse
-    # overflows, leaves no time or power unit: a config error at its line
+    # overflows, leaves no time or power unit: a config error at its line;
+    # so does a G that overflows, without a numpy warning or a traceback
     name = section[1:].split("]")[0]
     path = tmp_path / "tiny.ini"
     path.write_text(f"[run]\nmode = {mode}\nsamples = 11\n\n{section}")

@@ -323,10 +323,11 @@ def test_evolve_real_storage_is_bit_identical_to_complex(threshold):
 
 def test_full_build_peak_memory_per_entry():
     # tracemalloc counts numpy's allocations, so the peak per stored entry
-    # does not depend on the machine: int32 indices, parts freed as they are
-    # copied into the triplets, and no complex copy keep it near 27 bytes
-    # (60 with int64 parts, their concatenation and complex storage); the
-    # triplet values are mapped outside the heap, where it does not look
+    # does not depend on the machine: int32 indices, CSR rows written in
+    # place in blocks of a few MiB, and no complex copy keep it near 18
+    # bytes, most of them the Hermitian check's transpose (60 with int64
+    # parts, their concatenation and complex storage); the CSR values are
+    # mapped outside the heap, where it does not look
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 7, 7)
     tracemalloc.start()
@@ -340,9 +341,8 @@ def test_full_build_peak_memory_per_entry():
 
 
 def test_effective_build_peak_memory_per_entry():
-    # the same bound for the spin-only build, whose flip-flop hop class sets
-    # its peak (about 37 bytes per stored entry); the basis is enumerated
-    # outside the trace
+    # the same bound for the spin-only build (about 17 bytes per stored
+    # entry); the basis is enumerated outside the trace
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 0, 7)
     tracemalloc.start()
