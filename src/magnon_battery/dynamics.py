@@ -2,15 +2,23 @@
 
 ``evolve`` propagates the Schroedinger equation for any Hermitian
 operator produced by this package and samples the battery observables
-on a caller-supplied time grid.  Problems of at most ``DENSE_THRESHOLD``
-states (2048) go through a full Hermitian eigendecomposition, which
-makes the phase evolution exact; larger ones, such as the per-spin full
-6+6 sector (dim 2,510), go to a Chebyshev expansion of exp(-iHt)
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one step length and
-one order, set from ``tol`` by the Bessel coefficients and free of the
-grid, make ``tol`` bound the state error on the whole grid.  Miller's
-backward recurrence gives the Bessel values; neither ``scipy.integrate``
-nor ``scipy.special`` loads.
+on a caller-supplied time grid, on the cheaper of two propagators.  A
+full Hermitian eigendecomposition makes the phase evolution exact to
+rounding; it costs about dim^3 and holds dim x dim complex arrays, so it
+runs up to ``DENSE_THRESHOLD`` states (2048) only.  A Chebyshev
+expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+1984) costs about r path sparse products, r the Gershgorin half-width
+of H: one step length and one order, set from ``tol`` by the Bessel
+coefficients and free of the grid, make ``tol`` bound the state error on
+the whole grid.  Miller's backward recurrence gives the Bessel values;
+neither ``scipy.integrate`` nor ``scipy.special`` loads.
+
+``_choose`` estimates both costs and takes the cheaper path.  Neither
+wins everywhere: per-spin models of a few hundred states take the walk
+(dim 924: 16 ms against 1.0 s dense); small models and register models
+over long horizons, whose magnon ladder makes r path large, stay dense.
+Each call logs its choice at DEBUG on the ``magnon_battery.dynamics``
+logger; the package adds no handler.
 
 Both propagators yield the amplitudes of consecutive samples in blocks
 whose amplitudes and probabilities fit in ``_SLICE_BYTES``; ``evolve``
@@ -32,6 +40,7 @@ Dividing power by |G| converts to the conventional |G|*omega scale.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -49,7 +58,27 @@ __all__ = [
     "charging_horizon",
 ]
 
+# the dense path's size cap: its dim x dim complex matrix and eigenvectors
 DENSE_THRESHOLD = 2048
+
+# seconds per unit of each term of _choose's estimates: a least-squares
+# fit (non-negative, in relative error) to two timing passes over 112
+# evolve calls, each timed on both paths: the 46 preset trajectories, the
+# 28 sweep-uniform points, and per-spin and register models up to dim 968.
+# Host: a 2-core x86-64 VM, numpy 2.4.6 and scipy 1.17.1 on one OpenBLAS
+# thread.  The rows and the fit are in BENCH_propagator_choice.json.
+_DENSE_COST = (1.44e-09, 1.38e-10, 5.0e-08)  # dim^3, samples dim^2, samples dim
+_CHEBYSHEV_COST = (1.4e-05, 8.6e-10, 1.83e-10, 1.27e-08)  # products, products nnz, samples order dim, samples rows
+
+# how much cheaper the walk must be estimated to be taken: its loop holds
+# the interpreter lock, so a [run] threads pool runs walks one at a time
+# while dense calls overlap in LAPACK.  On two workers a dense call took a
+# median 0.54 times its one-worker wall time and a walk 1.23 times (nine
+# per-spin effective models, dims 56-462); the choice may not read the
+# thread count, or a CSV would depend on it
+_WALK_MARGIN = 2.3
+
+_log = logging.getLogger(__name__)
 
 # the smallest tol: a finer one is below float64 rounding.  Below about
 # 1e-13, rounding in the Chebyshev recurrence, not truncation, bounds the
@@ -107,10 +136,12 @@ def evolve(
 ) -> Trajectory:
     """Propagate psi0, the state at t = 0, under h and sample observables on the grid.
 
-    Up to ``DENSE_THRESHOLD`` states the propagation is exact to rounding,
-    whatever ``tol`` is; above it, ``tol`` bounds the error of the state
-    at every sample down to about 1e-13, where float64 rounding in the
-    recurrence takes over, more so on a longer path (see ``_MIN_TOL``).
+    It takes the cheaper propagator (see ``_choose``).  The dense path is
+    exact to rounding, whatever ``tol`` is.  On the Chebyshev path, which
+    every model above ``DENSE_THRESHOLD`` states takes, ``tol`` bounds the
+    error of the state at every sample down to about 1e-13, where float64
+    rounding in the recurrence takes over, more so on a longer path (see
+    ``_MIN_TOL``).
     """
     if not isinstance(h, HamiltonianMatrix):
         raise TypeError("h must be a HamiltonianMatrix (Hermitian by construction)")
@@ -125,10 +156,11 @@ def evolve(
     if not abs(np.linalg.norm(amps0) - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError("psi0 is not normalized")
     bounds = _spectral_bounds(h.matrix)
-    if h.dimension <= DENSE_THRESHOLD:
+    plan = _choose(h.matrix, times, tol, bounds)
+    if plan is None:
         blocks, centre = _dense(h.matrix, amps0, times), 0.0
     else:
-        blocks, centre = _chebyshev(h.matrix, amps0, times, tol, bounds), bounds[0]
+        blocks, centre = _chebyshev(h.matrix, amps0, times, bounds, plan), bounds[0]
 
     # one observation loop; a block holds the next samples in the frame rotating at centre
     magnon_diag, battery = (counts.astype(float) for counts in h.basis._counts()[1:])
@@ -190,6 +222,54 @@ def _spectral_bounds(matrix) -> tuple[float, float]:
     return 0.5 * (high + low), 0.5 * (high - low)
 
 
+def _choose(matrix, times: np.ndarray, tol: float, bounds: tuple[float, float]):
+    """The cheaper propagator for this call: None for dense, else the Chebyshev walk's ``_plan``.
+
+    Both costs are estimated from ``_DENSE_COST`` and ``_CHEBYSHEV_COST``,
+    and the walk is taken where it is ``_WALK_MARGIN`` times cheaper.
+    Dense is out above ``DENSE_THRESHOLD`` states; within it, a walk that
+    is out of reach means dense.  The walk's own estimate needs its plan,
+    and so a Bessel table, only where dense costs more than the margin
+    times the walk's floor: its longest step at the lowest order that step
+    allows, with no allowance for the tail.  The choice and both estimates
+    are logged at DEBUG.
+    """
+    dim, nnz, samples = matrix.shape[0], matrix.nnz, times.size
+    half = bounds[1] or 1.0
+    path = abs(times[0]) + (times[-1] - times[0])
+    a, b, e = _DENSE_COST
+    dense = dim * (a * dim * dim + samples * (b * dim + e)) if dim <= DENSE_THRESHOLD else math.inf
+
+    def walk(step, order):
+        """ceil(path/D) moves of order K, two real CSR products per order (four for a complex H)."""
+        c, f, g, h = _CHEBYSHEV_COST
+        turns = 4 if matrix.dtype.kind == "c" and np.any(matrix.data.imag) else 2
+        rows = order + 31 + 8 * math.cbrt(half * step)  # a sample's Bessel rows, as _bessel sizes them
+        return np.ceil(path / step) * order * turns * (c + f * nnz) + samples * (g * order * dim + h * rows)
+
+    longest = min(path, (_span(dim) - 1) / half)
+    plan, chebyshev, why = None, walk(longest, max(math.ceil(half * longest) - 1, 0)), "floor"
+    if dim > DENSE_THRESHOLD or dense > _WALK_MARGIN * chebyshev:
+        try:
+            plan = _plan(dim, half, path, tol)
+        except FloatingPointError:
+            if dense == math.inf:
+                raise
+            chebyshev, why = math.inf, "out of reach,"
+        else:
+            chebyshev, why = walk(*plan[:2]), f"{math.ceil(path / plan[0])} moves of order {plan[1]},"
+            plan = None if dense <= _WALK_MARGIN * chebyshev else plan
+    _log.debug("%s: dim %d, nnz %d, %d samples, r*path %.6g; dense %.3g s, Chebyshev %s %.3g s",
+               "dense" if plan is None else "chebyshev", dim, nnz, samples, half * path, dense, why, chebyshev)
+    return plan
+
+
+def _span(dim: int) -> int:
+    """Vectors of one Chebyshev move, and samples of one Bessel table: 16 to 724."""
+    budget = _SLICE_BYTES // 16
+    return max(16, min(budget // dim, math.isqrt(budget)))
+
+
 def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     """J_k(x) for k = 0 ... top, top > order, one column per argument.
 
@@ -230,7 +310,36 @@ def _dense(matrix, amps0, times):
         yield (v @ (phases * coeff).T).T
 
 
-def _chebyshev(matrix, amps0, times, tol, bounds):
+def _plan(dim: int, half: float, path: float, tol: float) -> tuple[float, int, np.ndarray]:
+    """The Chebyshev walk's step length D, order K and the weights of a move by D.
+
+    One step length D and one order K serve the run (Leforestier et al.,
+    J. Comput. Phys. 94, 59, 1991).  A move's vectors must fit in
+    ``_SLICE_BYTES``: at most ``span`` of them (16 above 32,768 states).
+    Of 64 steps up to min((span - 1)/r, path), path = |t_0| + (t_end - t_0),
+    D is the longest with D >= eps path (or the walk's times stand still)
+    and a tail 2 sum_{k>K} |J_k(rD)| of at most tol D / (path + 2D) for
+    some K in [rD - 1, span); K is the smallest.  None left:
+    ``FloatingPointError``.  The weights are (2 - delta_k0) J_k(rD).
+    """
+    span = _span(dim)
+    # candidate steps, denser near the cap (the path itself when one step
+    # takes it); the table's rows run on to where |J_k| < 1e-17
+    steps = min((span - 1) / half, path) * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5
+    phases = half * steps
+    table = _bessel(phases, 0)
+    tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1][:span]
+    orders = np.arange(len(tail))[:, None]  # tail[K] = 2 sum_{k>K} |J_k|
+    fits = (tail <= tol * phases / (half * path + 2 * phases)) & (orders + 1 >= phases)
+    fits &= phases >= _MIN_TOL * half * path  # the walk's times must advance
+    if not fits.any():
+        raise FloatingPointError(f"tol = {tol!r} is out of reach in float64 over {half * path:.3g} phases")
+    best = int(np.argmax(fits.any(axis=0)))
+    order = int(np.argmax(fits[:, best]))
+    return float(steps[best]), order, np.where(np.arange(order + 1), 2.0, 1.0) * table[: order + 1, best]
+
+
+def _chebyshev(matrix, amps0, times, bounds, plan):
     """Amplitude blocks from a Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984).
 
     With X = (H - c)/r, c and r from the Gershgorin interval, the state a
@@ -243,23 +352,15 @@ def _chebyshev(matrix, amps0, times, tol, bounds):
     CSR products per order; a block of samples, their real product with
     Bessel weights, reads as complex amplitudes without a copy.
 
-    One step length D and one order K serve the run (Leforestier et al.,
-    J. Comput. Phys. 94, 59, 1991).  A move's vectors must fit in
-    ``_SLICE_BYTES``: at most ``span`` of them (16 above 32,768 states).
-    Of 64 steps up to min((span - 1)/r, path), path = |t_0| + (t_end - t_0),
-    D is the longest with D >= eps path (or the walk's times stand still)
-    and a tail 2 sum_{k>K} |J_k(rD)| of at most tol D / (path + 2D) for
-    some K in [rD - 1, span); K is the smallest.  None left:
-    ``FloatingPointError``.
-
-    Every move is the same: from the anchor, at t = 0 first, it gives the
-    next samples within D of the anchor, one Bessel table per span of them,
-    in blocks of at most ``_block_rows``, and then moves the state by
-    exactly D, or by -D while the next sample lies more than D before the
-    anchor, with the step-choice column J_k(rD) (J_k(-x) = (-1)^k J_k(x)):
-    at most path/D + 2 moves.  Below its order a Bessel
-    tail rises with the phase, so D bounds a move's error at each of its
-    samples, and the shares sum to at most ``tol`` (rounding aside).
+    ``plan`` is ``_plan``'s step D, order K and weights.  Every move
+    is the same: from the anchor, at t = 0 first, it gives the next
+    samples within D of the anchor, one Bessel table per span of them, in
+    blocks of at most ``_block_rows``, and then moves the state by exactly
+    D, or by -D while the next sample lies more than D before the anchor,
+    with the step-choice column J_k(rD) (J_k(-x) = (-1)^k J_k(x)): at most
+    path/D + 2 moves.  Below its order a Bessel tail rises with the phase,
+    so D bounds a move's error at each of its samples, and the shares sum
+    to at most ``tol`` (rounding aside).
     """
     centre, half = bounds
     half = half or 1.0  # H = c: X = 0 at any scale
@@ -279,26 +380,10 @@ def _chebyshev(matrix, amps0, times, tol, bounds):
         re -= centre * q
         out *= scale
 
-    budget = _SLICE_BYTES // 16
-    span = max(16, min(budget // dim, math.isqrt(budget)))
-    path = abs(times[0]) + (times[-1] - times[0])
-    # candidate steps, denser near the cap (the path itself when one step
-    # takes it); the table's rows run on to where |J_k| < 1e-17
-    steps = min((span - 1) / half, path) * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5
-    phases = half * steps
-    table = _bessel(phases, 0)
-    tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1][:span]
-    orders = np.arange(len(tail))[:, None]  # tail[K] = 2 sum_{k>K} |J_k|
-    fits = (tail <= tol * phases / (half * path + 2 * phases)) & (orders + 1 >= phases)
-    fits &= phases >= _MIN_TOL * half * path  # the walk's times must advance
-    if not fits.any():
-        raise FloatingPointError(f"tol = {tol!r} is out of reach in float64 over {half * path:.3g} phases")
-    best = int(np.argmax(fits.any(axis=0)))
-    step, order = float(steps[best]), int(np.argmax(fits[:, best]))
-    # the weights (2 - delta_k0) J_k of a move by D and by -D
+    step, order, ahead = plan
+    span = _span(dim)
+    behind = ahead * (-1.0) ** np.arange(order + 1)  # the move by -D
     double = np.where(np.arange(order + 1), 2.0, 1.0)
-    ahead = double * table[: order + 1, best]
-    behind = ahead * (-1.0) ** np.arange(order + 1)
 
     anchor, done, rows = 0.0, 0, _block_rows(dim)
     vectors = np.empty((order + 1, 2 * dim))

@@ -8,7 +8,7 @@ functions are the closed-form amplitudes of the analytic models, which
 symmetric class registers into per-spin states from the labels alone.
 ``per_side`` names the classes of one register per side, and
 ``disordered`` draws a config with per-spin couplings and exchange.
-``dense_threshold`` pins ``evolve`` to one propagation path, and
+``dense_threshold`` pins ``evolve``'s chooser to one propagation path, and
 ``count_products`` counts the sparse products that a propagation makes.
 """
 
@@ -23,16 +23,18 @@ from magnon_battery.analytic import two_to_one_spectrum
 
 @contextlib.contextmanager
 def dense_threshold(threshold: int):
-    """Inside the block ``evolve`` diagonalises up to ``threshold`` states.
+    """Inside the block ``evolve``'s chooser diagonalises up to ``threshold`` states.
 
-    0 pins the Chebyshev path; the old value comes back on leaving.
+    The dense path's cap becomes ``threshold`` and its cost estimate 0,
+    so 0 pins the Chebyshev path and ``dynamics.DENSE_THRESHOLD`` (2048)
+    the dense path; the old values come back on leaving.
     """
-    saved = dynamics.DENSE_THRESHOLD
-    dynamics.DENSE_THRESHOLD = threshold
+    saved = dynamics.DENSE_THRESHOLD, dynamics._DENSE_COST
+    dynamics.DENSE_THRESHOLD, dynamics._DENSE_COST = threshold, (0.0, 0.0, 0.0)
     try:
         yield
     finally:
-        dynamics.DENSE_THRESHOLD = saved
+        dynamics.DENSE_THRESHOLD, dynamics._DENSE_COST = saved
 
 
 def count_products(monkeypatch, matrix) -> list[int]:

@@ -66,7 +66,8 @@ def test_magnon_column_present_for_full_model():
 def test_dense_and_ode_paths_agree(one_to_one):
     _, h, psi0 = one_to_one
     times = np.linspace(0.0, 200.0, 101)
-    dense = evolve(h, psi0, times)
+    with dense_threshold(2048):
+        dense = evolve(h, psi0, times)
     with dense_threshold(0):
         ode = evolve(h, psi0, times, tol=1e-12)
     assert np.max(np.abs(dense.energy - ode.energy)) < 1e-9
@@ -80,7 +81,8 @@ def test_paths_share_the_time_origin():
     h = build_full_hamiltonian(cfg, basis)
     psi0 = charged_initial_state(basis)
     times = np.linspace(1.0, 5.0, 41)
-    dense = evolve(h, psi0, times, keep_states=True)
+    with dense_threshold(2048):
+        dense = evolve(h, psi0, times, keep_states=True)
     with dense_threshold(0):
         ode = evolve(h, psi0, times, keep_states=True)
     assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
@@ -100,7 +102,8 @@ def test_ode_path_honours_tol():
     # meets its tolerance against exact propagation
     h, psi0, coupling = _full_register(3)
     times = np.linspace(0.0, charging_horizon(3, 3, coupling), 401)
-    dense = evolve(h, psi0, times)
+    with dense_threshold(2048):
+        dense = evolve(h, psi0, times)
     with dense_threshold(0):
         ode = evolve(h, psi0, times, tol=1e-10)
     assert np.max(np.abs(ode.energy - dense.energy)) <= 1e-8
@@ -120,7 +123,8 @@ def test_ode_path_lab_frame_states_across_slices():
         samples = 2 * _SLICE_BYTES // (16 * h.dimension) + 101
         times = np.linspace(0.0, charging_horizon(n, n, coupling), samples)
         assert samples * h.dimension * 16 > 2 * _SLICE_BYTES  # over three dense blocks
-        dense = evolve(h, psi0, times, keep_states=True)
+        with dense_threshold(2048):
+            dense = evolve(h, psi0, times, keep_states=True)
         with dense_threshold(0):
             ode = evolve(h, psi0, times, keep_states=True)
             assert evolve(h, psi0, times).states is None
@@ -201,7 +205,8 @@ def test_bessel_matches_scipy():
 
 
 def _agrees_with_dense(h, psi0, times, bound=1e-9):
-    dense = evolve(h, psi0, times)
+    with dense_threshold(2048):
+        dense = evolve(h, psi0, times)
     with dense_threshold(0):
         cheb = evolve(h, psi0, times, tol=1e-10)
     assert np.max(np.abs(cheb.energy - dense.energy)) <= bound
@@ -221,7 +226,8 @@ def test_dense_path_memory_is_free_of_the_grid_length():
     for samples in (4001, 20001):
         tracemalloc.start()
         try:
-            evolve(h, psi0, np.linspace(0.0, 2000.0, samples))
+            with dense_threshold(2048):
+                evolve(h, psi0, np.linspace(0.0, 2000.0, samples))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -274,7 +280,8 @@ def test_chebyshev_state_error_within_tol(times, budget, monkeypatch):
     # clustered grids a step length holds more samples than one block may
     monkeypatch.setattr(dynamics, "_SLICE_BYTES", budget)
     h, psi0, _ = _full_register(3)
-    dense = evolve(h, psi0, times, keep_states=True)
+    with dense_threshold(2048):
+        dense = evolve(h, psi0, times, keep_states=True)
     for tol in (1e-3, 1e-6, 1e-10):
         with dense_threshold(0):
             cheb = evolve(h, psi0, times, tol=tol, keep_states=True)

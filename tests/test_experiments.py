@@ -161,6 +161,7 @@ def propagate(_):
     start.wait()  # both threads start together
     return mb.evolve(h, psi0, times).energy
 
+dynamics._DENSE_COST = (0.0, 0.0, 0.0)  # the dense path, free up to DENSE_THRESHOLD states
 dense = mb.evolve(h, psi0, times).energy
 dynamics.DENSE_THRESHOLD = 0  # the Chebyshev path from here on
 with ThreadPoolExecutor(max_workers=2) as pool:
