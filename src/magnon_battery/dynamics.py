@@ -13,12 +13,13 @@ coefficients and free of the grid, make ``tol`` bound the state error on
 the whole grid.  Miller's backward recurrence gives the Bessel values;
 neither ``scipy.integrate`` nor ``scipy.special`` loads.
 
-``_choose`` estimates both costs and takes the cheaper path.  Neither
-wins everywhere: per-spin models of a few hundred states take the walk
-(dim 924: 16 ms against 1.0 s dense); small models and register models
-over long horizons, whose magnon ladder makes r path large, stay dense.
-Each call logs its choice at DEBUG on the ``magnon_battery.dynamics``
-logger; the package adds no handler.
+``_choose`` estimates both costs and takes the cheaper path; for the
+walk it also sets the step, the order and the Bessel values of one step.
+Neither wins everywhere: per-spin models of a few hundred states take
+the walk (dim 924: 16 ms against 1.0 s dense); small models and register
+models over long horizons, whose magnon ladder makes r path large, stay
+dense.  Each call logs its choice at DEBUG on the
+``magnon_battery.dynamics`` logger; the package adds no handler.
 
 Both propagators yield the amplitudes of consecutive samples in blocks
 whose amplitudes and probabilities fit in ``_SLICE_BYTES``; ``evolve``
@@ -219,46 +220,66 @@ def _spectral_bounds(matrix) -> tuple[float, float]:
         low, high = float(np.min(diag - radius)), float(np.max(diag + radius))
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("the Gershgorin bound of h is not finite")
-    return 0.5 * (high + low), 0.5 * (high - low)
+    return 0.5 * (high + low), 0.5 * (high - low) or 1.0  # H = c: X = (H - c)/r is 0 at any r
+
+
+def _is_complex(matrix) -> bool:
+    """Whether H has an imaginary part: then a Chebyshev order takes four real CSR products, not two."""
+    return matrix.dtype.kind == "c" and bool(np.any(matrix.data.imag))
 
 
 def _choose(matrix, times: np.ndarray, tol: float, bounds: tuple[float, float]):
-    """The cheaper propagator for this call: None for dense, else the Chebyshev walk's ``_plan``.
+    """The cheaper propagator: None for dense, else the walk's step D, order K and J_k(rD).
 
-    Both costs are estimated from ``_DENSE_COST`` and ``_CHEBYSHEV_COST``,
-    and the walk is taken where it is ``_WALK_MARGIN`` times cheaper.
-    Dense is out above ``DENSE_THRESHOLD`` states; within it, a walk that
-    is out of reach means dense.  The walk's own estimate needs its plan,
-    and so a Bessel table, only where dense costs more than the margin
-    times the walk's floor: its longest step at the lowest order that step
-    allows, with no allowance for the tail.  The choice and both estimates
-    are logged at DEBUG.
+    One D and one K serve the walk (Leforestier et al., J. Comput. Phys.
+    94, 59, 1991), whose moves hold at most ``_span`` vectors each.  Of 64
+    steps up to min(path, (span - 1)/r), denser near the top, with path =
+    |t_0| + (t_end - t_0), D is the longest with D >= eps path (or the
+    walk's times stand still) and a tail 2 sum_{k>K} |J_k(rD)| of at most
+    tol D / (path + 2D) for some K in [rD - 1, span); K is the smallest.
+    With none left the walk is out of reach: dense within
+    ``DENSE_THRESHOLD`` states, ``FloatingPointError`` above it.
+
+    The estimates use ``_DENSE_COST`` and ``_CHEBYSHEV_COST``, and the walk
+    is taken where it is ``_WALK_MARGIN`` times cheaper.  D and K, and so a
+    Bessel table, are computed only where dense costs more than the margin
+    times the walk's floor: the longest step at the lowest order it allows,
+    with no allowance for the tail.  The choice and both estimates are
+    logged at DEBUG.
     """
-    dim, nnz, samples = matrix.shape[0], matrix.nnz, times.size
-    half = bounds[1] or 1.0
+    dim, nnz, samples, half = matrix.shape[0], matrix.nnz, times.size, bounds[1]
     path = abs(times[0]) + (times[-1] - times[0])
     a, b, e = _DENSE_COST
     dense = dim * (a * dim * dim + samples * (b * dim + e)) if dim <= DENSE_THRESHOLD else math.inf
+    c, f, g, h = _CHEBYSHEV_COST
+    products = (c + f * nnz) * (4 if _is_complex(matrix) else 2)  # per order
 
     def walk(step, order):
-        """ceil(path/D) moves of order K, two real CSR products per order (four for a complex H)."""
-        c, f, g, h = _CHEBYSHEV_COST
-        turns = 4 if matrix.dtype.kind == "c" and np.any(matrix.data.imag) else 2
-        rows = order + 31 + 8 * math.cbrt(half * step)  # a sample's Bessel rows, as _bessel sizes them
-        return np.ceil(path / step) * order * turns * (c + f * nnz) + samples * (g * order * dim + h * rows)
+        """ceil(path/D) moves of order K, and a Bessel table for each sample."""
+        return np.ceil(path / step) * order * products + samples * (g * order * dim + h * _rows(order, half * step))
 
-    longest = min(path, (_span(dim) - 1) / half)
+    span = _span(dim)
+    longest = min(path, (span - 1) / half)
     plan, chebyshev, why = None, walk(longest, max(math.ceil(half * longest) - 1, 0)), "floor"
     if dim > DENSE_THRESHOLD or dense > _WALK_MARGIN * chebyshev:
-        try:
-            plan = _plan(dim, half, path, tol)
-        except FloatingPointError:
-            if dense == math.inf:
-                raise
-            chebyshev, why = math.inf, "out of reach,"
+        steps = longest * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5  # the longest first
+        phases = half * steps
+        table = _bessel(phases, 0)  # its rows run on to where |J_k| < 1e-17
+        tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1][:span]
+        orders = np.arange(len(tail))[:, None]  # tail[K] = 2 sum_{k>K} |J_k|
+        fits = (tail <= tol * phases / (half * path + 2 * phases)) & (orders + 1 >= phases)
+        fits &= phases >= _MIN_TOL * half * path  # the walk's times must advance
+        if fits.any():
+            best = int(np.argmax(fits.any(axis=0)))
+            order = int(np.argmax(fits[:, best]))
+            chebyshev = walk(steps[best], order)
+            why = f"{math.ceil(path / steps[best])} moves of order {order},"
+            if dense > _WALK_MARGIN * chebyshev:
+                plan = float(steps[best]), order, table[: order + 1, best]
+        elif dim > DENSE_THRESHOLD:
+            raise FloatingPointError(f"tol = {tol!r} is out of reach in float64 over {half * path:.3g} phases")
         else:
-            chebyshev, why = walk(*plan[:2]), f"{math.ceil(path / plan[0])} moves of order {plan[1]},"
-            plan = None if dense <= _WALK_MARGIN * chebyshev else plan
+            chebyshev, why = math.inf, "out of reach,"
     _log.debug("%s: dim %d, nnz %d, %d samples, r*path %.6g; dense %.3g s, Chebyshev %s %.3g s",
                "dense" if plan is None else "chebyshev", dim, nnz, samples, half * path, dense, why, chebyshev)
     return plan
@@ -268,6 +289,11 @@ def _span(dim: int) -> int:
     """Vectors of one Chebyshev move, and samples of one Bessel table: 16 to 724."""
     budget = _SLICE_BYTES // 16
     return max(16, min(budget // dim, math.isqrt(budget)))
+
+
+def _rows(order: int, reach: float) -> int:
+    """Rows of a Bessel table to ``order`` at arguments up to ``reach``: past both, to |J_k| < 1e-17."""
+    return int(max(order, reach) + 30 + 8 * np.cbrt(reach)) + 1
 
 
 def _bessel(x: np.ndarray, order: int) -> np.ndarray:
@@ -284,7 +310,7 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     zero = size < 1e-150
     inverse = 2.0 / np.where(zero, 1.0, size)
     reach = float(size.max(initial=0.0))
-    top = int(max(order, reach) + 30 + 8 * np.cbrt(reach))
+    top = _rows(order, reach) - 1
     values = np.empty((top + 1, x.size))
     values[top] = 1e-300
     above = np.zeros(x.size)
@@ -310,35 +336,6 @@ def _dense(matrix, amps0, times):
         yield (v @ (phases * coeff).T).T
 
 
-def _plan(dim: int, half: float, path: float, tol: float) -> tuple[float, int, np.ndarray]:
-    """The Chebyshev walk's step length D, order K and the weights of a move by D.
-
-    One step length D and one order K serve the run (Leforestier et al.,
-    J. Comput. Phys. 94, 59, 1991).  A move's vectors must fit in
-    ``_SLICE_BYTES``: at most ``span`` of them (16 above 32,768 states).
-    Of 64 steps up to min((span - 1)/r, path), path = |t_0| + (t_end - t_0),
-    D is the longest with D >= eps path (or the walk's times stand still)
-    and a tail 2 sum_{k>K} |J_k(rD)| of at most tol D / (path + 2D) for
-    some K in [rD - 1, span); K is the smallest.  None left:
-    ``FloatingPointError``.  The weights are (2 - delta_k0) J_k(rD).
-    """
-    span = _span(dim)
-    # candidate steps, denser near the cap (the path itself when one step
-    # takes it); the table's rows run on to where |J_k| < 1e-17
-    steps = min((span - 1) / half, path) * np.linspace(1.0, 0.0, 64, endpoint=False) ** 1.5
-    phases = half * steps
-    table = _bessel(phases, 0)
-    tail = 2.0 * np.cumsum(np.abs(table[:0:-1]), axis=0)[::-1][:span]
-    orders = np.arange(len(tail))[:, None]  # tail[K] = 2 sum_{k>K} |J_k|
-    fits = (tail <= tol * phases / (half * path + 2 * phases)) & (orders + 1 >= phases)
-    fits &= phases >= _MIN_TOL * half * path  # the walk's times must advance
-    if not fits.any():
-        raise FloatingPointError(f"tol = {tol!r} is out of reach in float64 over {half * path:.3g} phases")
-    best = int(np.argmax(fits.any(axis=0)))
-    order = int(np.argmax(fits[:, best]))
-    return float(steps[best]), order, np.where(np.arange(order + 1), 2.0, 1.0) * table[: order + 1, best]
-
-
 def _chebyshev(matrix, amps0, times, bounds, plan):
     """Amplitude blocks from a Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff 1984).
 
@@ -352,21 +349,20 @@ def _chebyshev(matrix, amps0, times, bounds, plan):
     CSR products per order; a block of samples, their real product with
     Bessel weights, reads as complex amplitudes without a copy.
 
-    ``plan`` is ``_plan``'s step D, order K and weights.  Every move
+    ``plan`` is ``_choose``'s step D, order K and J_k(rD).  Every move
     is the same: from the anchor, at t = 0 first, it gives the next
     samples within D of the anchor, one Bessel table per span of them, in
     blocks of at most ``_block_rows``, and then moves the state by exactly
     D, or by -D while the next sample lies more than D before the anchor,
-    with the step-choice column J_k(rD) (J_k(-x) = (-1)^k J_k(x)): at most
+    with the weights of J_k(rD) (J_k(-x) = (-1)^k J_k(x)): at most
     path/D + 2 moves.  Below its order a Bessel tail rises with the phase,
     so D bounds a move's error at each of its samples, and the shares sum
     to at most ``tol`` (rounding aside).
     """
     centre, half = bounds
-    half = half or 1.0  # H = c: X = 0 at any scale
     dim = matrix.shape[0]
     real = matrix.real if matrix.dtype.kind == "c" else matrix
-    imag = matrix.imag if matrix.dtype.kind == "c" and np.any(matrix.data.imag) else None
+    imag = matrix.imag if _is_complex(matrix) else None
 
     def turn(vector, out, scale):
         """scale * (-i)(H - c) (p + iq), for the state held as pairs (p, q), into out."""
@@ -380,10 +376,11 @@ def _chebyshev(matrix, amps0, times, bounds, plan):
         re -= centre * q
         out *= scale
 
-    step, order, ahead = plan
+    step, order, column = plan
     span = _span(dim)
+    double = np.where(np.arange(order + 1), 2.0, 1.0)  # the weights are (2 - delta_k0) J_k
+    ahead = double * column
     behind = ahead * (-1.0) ** np.arange(order + 1)  # the move by -D
-    double = np.where(np.arange(order + 1), 2.0, 1.0)
 
     anchor, done, rows = 0.0, 0, _block_rows(dim)
     vectors = np.empty((order + 1, 2 * dim))

@@ -384,7 +384,7 @@ class _Section:
         return np.asarray(matrix) * scale
 
     def get_vector(self, key, size: int, scale: float):
-        """Scalar or comma/space list value, scaled; validates the length."""
+        """Scalar or comma-separated list value, scaled; validates the length."""
         raw = self.data[key]
         values = self.get_float_list(key)
         if len(values) == 1:

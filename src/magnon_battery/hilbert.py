@@ -197,13 +197,9 @@ class HamiltonianMatrix:
         adjoint = csr.T.tocsr()  # canonical, like csr
         if csr.dtype.kind == "c":
             np.conjugate(adjoint.data, out=adjoint.data)
-        if not _same_entries(csr, adjoint):
-            # the stored patterns may differ by explicit zeros only
-            trimmed = csr.copy()
-            trimmed.eliminate_zeros()
-            adjoint.eliminate_zeros()
-            if not _same_entries(trimmed, adjoint):
-                raise ValueError("matrix is not Hermitian")
+        # elementwise != ignores explicit zeros in either pattern and flags a NaN
+        if not _same_entries(csr, adjoint) and (csr != adjoint).nnz:
+            raise ValueError("matrix is not Hermitian")
         self.matrix = csr
         self.basis = basis
 

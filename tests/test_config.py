@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from magnon_battery import SystemConfig
+from magnon_battery import HamiltonianMatrix, SystemConfig, enumerate_sector_basis
 
 
 def test_scalar_shorthands_expand():
@@ -62,6 +63,21 @@ def test_validation_errors():
                      g_charger=0.1, g_battery=0.1, j_charger=0.0, j_battery=0.0)
     with pytest.raises(ValueError, match="fock_cutoff"):
         SystemConfig(n_charger=1, m_battery=1, fock_cutoff=-1, **ok)
+
+
+def test_api_input_errors():
+    # a J of the wrong shape, a non-finite J or g, and a matrix of another
+    # size than its basis are each refused with their own message
+    ok = dict(n_charger=2, m_battery=1, omega=1.0, omega_m=2.0, g_battery=0.1, j_battery=0.0)
+    with pytest.raises(ValueError, match=r"^j_charger must be 2x2, got shape \(3, 3\)$"):
+        SystemConfig(g_charger=0.1, j_charger=np.zeros((3, 3)), **ok)
+    with pytest.raises(ValueError, match=r"^j_charger contains non-finite entries$"):
+        SystemConfig(g_charger=0.1, j_charger=[[0.0, np.nan], [np.nan, 0.0]], **ok)
+    with pytest.raises(ValueError, match=r"^g_charger contains non-finite entries$"):
+        SystemConfig(g_charger=(0.1, np.inf), j_charger=0.0, **ok)
+    basis = enumerate_sector_basis(1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^matrix shape \(4, 4\) does not match basis dimension 3$"):
+        HamiltonianMatrix(sp.identity(4, format="csr"), basis)
 
 
 def test_zero_detuning_rejected():

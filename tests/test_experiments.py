@@ -284,6 +284,78 @@ j_charger_over_delta = 0 0.1; 0.2 0
         parse_config(text)
 
 
+_INPUT = "[run]\nmode = simulate-full\n\n[system]\nn_charger = 2\ng_over_delta = 0.1\n"  # 6 lines
+_NOISE = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"  # 5 lines
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (_INPUT + "delta = fast\n", "line 7: [system] delta", "cannot parse 'fast' as a number"),
+        (_INPUT + "j_over_delta = inf\n", "line 7: [system] j_over_delta", "must be finite"),
+        (
+            _INPUT.replace("g_over_delta = 0.1", "g_charger_over_delta = 0.1 0.12\ng_battery_over_delta = 0.1"),
+            "line 6: [system] g_charger_over_delta",
+            "cannot parse '0.1 0.12' as a comma-separated number list",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-nm") + "\n[sweep]\nratios = 1, 2.5\n",
+            "line 9: [sweep] ratios",
+            "entries must be integers",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-nm") + "\n[sweep]\nratios = 0, 1\n",
+            "line 9: [sweep] ratios",
+            "entries must be >= 1",
+        ),
+        (
+            _INPUT.replace("simulate-full", "compare") + "\n[sweep]\nmodels = full, exact\n",
+            "line 9: [sweep] models",
+            "unknown entry 'exact'; allowed: analytic, collective, effective, full",
+        ),
+        (_INPUT.replace("simulate-full", "compare") + "\n[sweep]\nmodels = ,\n", "line 9: [sweep] models", "list is empty"),
+        (
+            _INPUT.replace("simulate-full", "sweep-n") + "\n[sweep]\nexchange = zero, half\n",
+            "line 9: [sweep] exchange",
+            "unknown entry 'half'; allowed: sweet, zero",
+        ),
+        (_INPUT.replace("simulate-full", "sweep-n") + "\n[sweep]\nexchange = ,\n", "line 9: [sweep] exchange", "list is empty"),
+        (
+            _INPUT + "j_charger_over_delta = 0 0.1; 0.1 zero\n",
+            "line 7: [system] j_charger_over_delta",
+            "cannot parse '0 0.1; 0.1 zero' as a matrix (rows split by ';')",
+        ),
+        (
+            _INPUT + "g_charger_over_delta = 0.1, 0.2, 0.3\n",
+            "line 7: [system] g_charger_over_delta",
+            "expected 2 entries, got 3 in '0.1, 0.2, 0.3'",
+        ),
+        (_NOISE.replace("g_over_delta", "gamma_over_delta"), "[noise]", "coupling required: set g_over_delta"),
+        (
+            _NOISE + "\n[sweep]\nj_values_over_delta = 0.01\n",
+            "line 8: [sweep] j_values_over_delta",
+            "needs a [system] section to supply delta",
+        ),
+        (
+            _INPUT.replace("simulate-full", "simulate"),
+            "line 2: [run] mode",
+            f"unknown mode 'simulate'; known: {', '.join(experiments.MODES)}",
+        ),
+        (_NOISE.replace("qsd", "simulate-full"), None, "mode 'simulate-full' requires a [system] section"),
+    ],
+    ids=[
+        "number", "non-finite-number", "space-separated-list", "non-integer-entry", "small-entry",
+        "unknown-model", "no-model", "unknown-exchange", "no-exchange", "matrix", "vector-length",
+        "noise-without-g", "j-values-without-system", "unknown-run-mode", "system-mode-without-system",
+    ],
+)
+def test_config_input_errors(text, where, message):
+    # each check of the config text names the key and its line where it has one
+    with pytest.raises(ConfigError) as caught:
+        parse_config(text)
+    assert str(caught.value) == (message if where is None else f"{where}: {message}")
+
+
 def test_bad_scalar_values():
     with pytest.raises(ConfigError, match="cannot parse 'soon' as an integer"):
         parse_config(MINIMAL.replace("samples = 51", "samples = soon"))
@@ -527,6 +599,43 @@ def test_compare_schema_and_default_j():
 def _table(text):
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     return [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "n, m, j, error",
+    [
+        (3, 1, 0.01, None),
+        (2, 2, 0.01, None),
+        (3, 1, 0.0, r"no closed form for n_charger=3 away from the sweet spot \(need exchange = 0\.01"),
+        (2, 2, 0.0, r"the two-to-two closed form needs both registers at the sweet spot \(exchange = 0\.01"),
+        (3, 2, 0.01, r"no closed form for n_charger=3, m_battery=2$"),
+    ],
+    ids=["3+1", "2+2", "3+1-at-J=0", "2+2-at-J=0", "3+2"],
+)
+def test_analytic_closed_forms_beyond_one_to_one(n, m, j, error):
+    # at J = -G (j_over_delta = 0.01) the N->1 and 2->2 closed forms are the
+    # effective model's E(t); away from it, or at another size, there is none
+    text = f"""\
+[run]
+mode = compare
+
+[system]
+n_charger = {n}
+m_battery = {m}
+g_over_delta = 0.1
+j_over_delta = {j}
+
+[sweep]
+models = analytic, effective
+"""
+    if error is not None:
+        with pytest.raises(ConfigError, match=error):
+            run_experiment(parse_config(text.replace("compare", "analytic")))
+        return
+    rows = _table(run_experiment(parse_config(text)))
+    closed, model = (np.array([r[2:] for r in rows if r[0] == name], dtype=float) for name in ("analytic", "effective"))
+    assert len(closed) == len(model) > 100
+    assert np.max(np.abs(closed - model)) <= 1e-12
 
 
 def _per_spin_full(config, times):
@@ -829,6 +938,37 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     # and no finer than float64 rounding
     assert main(["simulate-effective", "--config", str(cfg), "--tol", "1e-100"]) == 1
     assert "--tol must be finite and >= 2.220446049250313e-16" in capsys.readouterr().err
+
+
+_WALK_SWEEP = """\
+[run]
+mode = sweep-n
+{tol}
+[system]
+m_battery = 3
+g_over_delta = 0.1
+omega_over_delta = 10.0
+
+[sweep]
+models = effective
+exchange = zero, sweet
+n_min = 7
+n_max = 7
+"""
+
+
+def test_cli_tol_is_the_run_tol(tmp_path):
+    # the effective N = 7, M = 3 points (dim 120) take the Chebyshev walk,
+    # whose step and order follow tol: --tol 1e-12 writes the body that
+    # [run] tol = 1e-12 writes, and not the default tol's
+    bodies = {}
+    for name, tol, args in [("default", "", []), ("cli", "", ["--tol", "1e-12"]), ("run", "tol = 1e-12\n", [])]:
+        path, out = tmp_path / f"{name}.ini", tmp_path / f"{name}.csv"
+        path.write_text(_WALK_SWEEP.format(tol=tol))
+        assert main(["sweep-n", "--config", str(path), "--out", str(out)] + args) == 0
+        bodies[name] = _table(out.read_text())
+    assert len(bodies["cli"]) == 2
+    assert bodies["cli"] == bodies["run"] != bodies["default"]
 
 
 @pytest.mark.parametrize(

@@ -130,3 +130,24 @@ def test_sweep_metrics_agree_on_both_paths():
     for want, got in zip(dense, chebyshev):
         assert got[:4] == want[:4]
         np.testing.assert_allclose(np.array(got[4:], float), np.array(want[4:], float), rtol=1e-9, atol=0.0)
+
+
+def test_walk_out_of_reach_within_the_cap_means_dense(caplog, monkeypatch):
+    # over 3e19 phases a step must cover eps r path, about 6,800 phases, or
+    # the walk's times stand still, and a move holds 723: the walk is out of
+    # reach.  A dense estimate far above the walk's floor makes the chooser
+    # look for a step; within the cap it then goes dense
+    h, _ = _per_spin(4, 3, "full")
+    times = np.array([0.0, 1.0, 1e19])
+    monkeypatch.setattr(dynamics, "_DENSE_COST", (1e30, 0.0, 0.0))
+    caplog.set_level(logging.DEBUG, logger=LOGGER)
+    plan = dynamics._choose(h.matrix, times, np.finfo(float).eps, dynamics._spectral_bounds(h.matrix))
+    assert plan is None
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert message.startswith("dense: dim 99, nnz 1155, 3 samples, r*path ")
+    assert message.endswith("Chebyshev out of reach, inf s")
+    caplog.clear()
+    traj = evolve(h, charged_initial_state(h.basis), times, tol=np.finfo(float).eps)
+    assert caplog.records[0].getMessage().startswith("dense:")
+    assert np.max(np.abs(traj.norm - 1.0)) <= 1e-12
