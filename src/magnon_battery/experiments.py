@@ -584,6 +584,9 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         if system is None:
             sweep.fail("j_values_over_delta", "needs a [system] section to supply delta")
         j_values = tuple(x * system.detuning for x in j_norm)
+    for key, readers in _J_KEYS.items():
+        if key in sweep and mode not in readers:
+            sweep.fail(key, f"mode {mode!r} does not read it; only {' and '.join(readers)} do")
 
     spec = ExperimentSpec(
         mode=mode,
@@ -660,10 +663,19 @@ def _horizon(spec: ExperimentSpec, config: SystemConfig | None = None) -> float:
     return charging_horizon(n, m, _unit(spec), factor=spec.horizon_factor)
 
 
+# the [sweep] keys that set J, and the modes that read each; every other
+# mode takes J from [system] (qsd has none), and refuses these keys
+_J_KEYS = {
+    "exchange": ("sweep-n", "sweep-nm"),
+    "j_values_over_delta": ("sweep-j", "compare"),
+    "j_values": ("sweep-j", "compare"),
+}
+
+
 def _points(spec: ExperimentSpec) -> list[tuple[str, float, SystemConfig]]:
     """(model, J, config) of every trajectory of compare or a sweep: model, then J, then size."""
     base = spec.system
-    if spec.mode in ("sweep-n", "sweep-nm"):
+    if spec.mode in _J_KEYS["exchange"]:
         exchanges = tuple(0.0 if name == "zero" else -_induced(base) for name in spec.exchanges)
     elif spec.j_values is not None:
         exchanges = spec.j_values
@@ -760,10 +772,13 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _solve(spec: ExperimentSpec, model: str, config: SystemConfig) -> Trajectory:
+    """The run's trajectory of one model and config, on the grid up to its horizon."""
+    return _trajectory(model, config, np.linspace(0.0, _horizon(spec, config), spec.samples), spec.tol)
+
+
 def _run_trajectory(spec: ExperimentSpec):
-    config = spec.system
-    times = np.linspace(0.0, _horizon(spec, config), spec.samples)
-    traj = _trajectory(spec.models[0], config, times, spec.tol)
+    traj = _solve(spec, spec.models[0], spec.system)
     magnon = traj.magnon if traj.magnon is not None else np.zeros_like(traj.energy)
     block = (traj.times, traj.energy, traj.power / _unit(spec), traj.norm, magnon)
     return ["t", "E_over_omega", "P_over_Gomega", "norm", "n_magnon"], [block]
@@ -774,7 +789,7 @@ def _run_compare(spec: ExperimentSpec):
 
     def one(point):
         model, j, config = point
-        traj = _trajectory(model, config, np.linspace(0.0, _horizon(spec, config), spec.samples), spec.tol)
+        traj = _solve(spec, model, config)
         return (model, _fmt(j / config.detuning), traj.times, traj.energy, traj.power / scale)
 
     blocks = _map_ordered(one, _points(spec), spec.threads)
@@ -803,7 +818,7 @@ def sweep_metrics(spec: ExperimentSpec) -> list[SweepRow]:
 
     def one(point):
         model, j, config = point
-        traj = _trajectory(model, config, np.linspace(0.0, _horizon(spec, config), spec.samples), spec.tol)
+        traj = _solve(spec, model, config)
         metrics = charging_metrics(traj)
         return SweepRow(
             model, config.n_charger, config.m_battery, j / config.detuning, e_max=metrics.e_max,

@@ -30,7 +30,9 @@ of every row, whatever the label order; targets outside the basis (a
 truncated cutoff, another sector) are dropped.  The one assembler
 ``_assemble`` writes the full model, the effective model, the battery
 energy operator and the collective model straight into CSR rows, from a
-diagonal, per-register mode couplings and a register flip-flop matrix.
+diagonal, per-register mode couplings and a register flip-flop matrix;
+the rows are counted first, so the index and value arrays come from the
+heap at their counted length, with no intermediate triplets.
 Lowering a register that holds n of its K excitations carries the ladder
 factor sqrt(n(K-n+1)), raising it sqrt((n+1)(K-n)); both are exactly 1
 for a single spin.  The diagonal and the mode hops are always stored,
@@ -57,7 +59,6 @@ one class of the config and reads the couplings off first members.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,31 +357,6 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis, mode: bool = Tru
     return np.array(config.g_charger + config.g_battery)[first], flip_flop
 
 
-# smaller blocks stay on the heap: mapping costs a system call, and
-# where they land moves the resident peak by less than their size
-_MAPPED_BYTES = 2**20
-# where the OS offers it, fault every page in with the mapping: about a
-# third of the time of faulting them one by one on first write
-_MAP_OPTIONS = (
-    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
-    if hasattr(mmap, "MAP_POPULATE")
-    else {}
-)
-
-
-def _mapped(n: int, dtype) -> np.ndarray:
-    """Uninitialised array of n items, from ``_MAPPED_BYTES`` up in pages of its own.
-
-    The pages go back to the OS when the array is freed.  An array taken
-    from the heap instead lands in whatever room earlier allocations
-    left there, which differs from one process to the next.
-    """
-    dtype = np.dtype(dtype)
-    if n * dtype.itemsize < _MAPPED_BYTES:
-        return np.empty(n, dtype)
-    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize, **_MAP_OPTIONS), dtype)
-
-
 # (row, move) cells per block of the move table: a few MiB of temporaries
 _BLOCK_CELLS = 2**17
 
@@ -403,9 +379,9 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     moved from label column x to y.  Sorted by key shift, largest first,
     a row's moves give its entries in CSR order on a basis in descending
     key order (others are sorted once); rows are written in place, block
-    by block.  A value is the amplitude times the magnon factor, then the
-    ladder factors by ascending column.  The values are mapped
-    (``_mapped``), so the resident peak does not depend on the heap.
+    by block, into the two CSR arrays, taken from the heap once their
+    length is counted.  A value is the amplitude times the magnon factor,
+    then the ladder factors by ascending column.
     """
     k = basis._mode
     occ, capacity, keys = basis._occupations, basis._capacity, basis._keys
@@ -466,7 +442,7 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
         table[keys] = np.arange(dim, dtype=index)
         find = table.__getitem__
     digits = occ.ravel()
-    indices, data = np.empty(indptr[-1], index), _mapped(indptr[-1], float)
+    indices, data = np.empty(indptr[-1], index), np.empty(indptr[-1])
     for start in range(0, dim, step):
         mask = lower[start : start + step][:, x] & upper[start : start + step][:, y]
         r, j = np.divmod(np.flatnonzero(mask) + start * len(x), len(x))

@@ -70,6 +70,12 @@ def test_mode_from_argument():
     parse_config(MINIMAL, mode="simulate-effective")
     with pytest.raises(ConfigError, match="unknown mode"):
         parse_config(text, mode="banana")
+    # a hand-built spec is checked again where it runs
+    spec = parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match="^unknown mode 'banana'$"):
+        run_experiment(replace(spec, mode="banana"))
+    with pytest.raises(ConfigError, match="^unknown model 'exact'$"):
+        run_experiment(replace(spec, models=("exact",)))
 
 
 def test_preset_expansion():
@@ -342,11 +348,51 @@ _NOISE = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"  # 5 lines
             f"unknown mode 'simulate'; known: {', '.join(experiments.MODES)}",
         ),
         (_NOISE.replace("qsd", "simulate-full"), None, "mode 'simulate-full' requires a [system] section"),
+        (
+            _INPUT.replace("g_over_delta", "g_charger_over_delta"),
+            None,
+            "[system]: both registers need couplings; set g_over_delta or both "
+            "g_charger_over_delta and g_battery_over_delta",
+        ),
+        (_NOISE.replace("0.1", "1e300") + "delta = 1e10\n", None, "[noise]: g must be finite, got inf"),
+        # a [sweep] key that sets J is refused by the modes that take J elsewhere
+        (
+            _INPUT.replace("simulate-full", "sweep-n") + "\n[sweep]\nj_values_over_delta = 0.5, 0.7\n",
+            "line 9: [sweep] j_values_over_delta",
+            "mode 'sweep-n' does not read it; only sweep-j and compare do",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-nm") + "\n[sweep]\nj_values = 0.01\n",
+            "line 9: [sweep] j_values",
+            "mode 'sweep-nm' does not read it; only sweep-j and compare do",
+        ),
+        (
+            _INPUT.replace("simulate-full", "compare") + "\n[sweep]\nexchange = zero\n",
+            "line 9: [sweep] exchange",
+            "mode 'compare' does not read it; only sweep-n and sweep-nm do",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-j") + "\n[sweep]\nj_values_over_delta = 0.01\nexchange = sweet\n",
+            "line 10: [sweep] exchange",
+            "mode 'sweep-j' does not read it; only sweep-n and sweep-nm do",
+        ),
+        (
+            _INPUT + "\n[sweep]\nexchange = zero\n",
+            "line 9: [sweep] exchange",
+            "mode 'simulate-full' does not read it; only sweep-n and sweep-nm do",
+        ),
+        (
+            _NOISE + "\n[sweep]\nj_values = 0.01\n",
+            "line 8: [sweep] j_values",
+            "mode 'qsd' does not read it; only sweep-j and compare do",
+        ),
     ],
     ids=[
         "number", "non-finite-number", "space-separated-list", "non-integer-entry", "small-entry",
         "unknown-model", "no-model", "unknown-exchange", "no-exchange", "matrix", "vector-length",
         "noise-without-g", "j-values-without-system", "unknown-run-mode", "system-mode-without-system",
+        "one-register-coupled", "non-finite-noise-coupling", "sweep-n-j-values", "sweep-nm-j-values",
+        "compare-exchange", "sweep-j-exchange", "trajectory-exchange", "qsd-j-values",
     ],
 )
 def test_config_input_errors(text, where, message):

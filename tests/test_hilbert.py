@@ -22,7 +22,7 @@ from magnon_battery import (
     evolve,
     total_excitation_operator,
 )
-from magnon_battery.hilbert import _mapped, _sector
+from magnon_battery.hilbert import _sector
 
 from helpers import dense_threshold, disordered, per_side
 
@@ -324,10 +324,10 @@ def test_evolve_real_storage_is_bit_identical_to_complex(threshold):
 def test_full_build_peak_memory_per_entry():
     # tracemalloc counts numpy's allocations, so the peak per stored entry
     # does not depend on the machine: int32 indices, CSR rows written in
-    # place in blocks of a few MiB, and no complex copy keep it near 18
-    # bytes, most of them the Hermitian check's transpose (60 with int64
-    # parts, their concatenation and complex storage); the CSR values are
-    # mapped outside the heap, where it does not look
+    # place in blocks of a few MiB, and no complex copy keep it near 26
+    # bytes, 12 of them the CSR's own indices and values and most of the
+    # rest the Hermitian check's transpose (60 with int64 parts, their
+    # concatenation and complex storage)
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 7, 7)
     tracemalloc.start()
@@ -341,7 +341,7 @@ def test_full_build_peak_memory_per_entry():
 
 
 def test_effective_build_peak_memory_per_entry():
-    # the same bound for the spin-only build (about 17 bytes per stored
+    # the same bound for the spin-only build (about 25 bytes per stored
     # entry); the basis is enumerated outside the trace
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 0, 7)
@@ -353,15 +353,6 @@ def test_effective_build_peak_memory_per_entry():
         tracemalloc.stop()
     assert (h.dimension, h.nnz) == (3432, 168168)
     assert peak <= 40 * h.nnz, f"{peak / h.nnz:.1f} bytes per stored entry"
-
-
-def test_mapped_arrays_hold_any_length():
-    # below and above the size from which the pages are mapped
-    for n, dtype in ((0, float), (3, np.int32), (2**17, float), (2**18 + 1, np.int32)):
-        a = _mapped(n, dtype)
-        assert a.shape == (n,) and a.dtype == dtype and a.flags.writeable
-        a[:] = np.arange(n)
-        assert np.array_equal(a, np.arange(n))
 
 
 def test_config_basis_mismatch():
