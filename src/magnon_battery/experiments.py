@@ -23,14 +23,14 @@ at N = M = 1.  Energy columns are in units of the spin splitting, power in
 units of splitting x |G| and sweep times in units of 1/|G|.
 
 Every mode is one row of the table ``_MODES``: its runner, its model (a
-trajectory mode) or default models (a sweep or compare), and whether it
-needs couplings uniform over every spin.  Only the closed forms, the
-sweeps and compare do, since they read one induced coupling G or one J;
-the trajectory modes and qsd take any config.  ``parse_config`` resolves
-``models`` from it once.  A runner returns the CSV columns and a list of
-blocks; a block is a tuple of cells, a str cell repeating down the block
-and an array cell giving one float per row.  ``_csv_rows`` alone formats
-floats, as the repr of a Python float.
+trajectory mode) or default models (a sweep or compare), whether it
+needs couplings uniform over every spin (the closed forms, the sweeps
+and compare, which read one induced coupling G or one J), the physics
+section it reads and the [sweep] keys it reads; a config that sets any
+other [sweep] key or physics section is refused.  A runner returns the
+CSV columns and a list of blocks; a block is a tuple of cells, a str
+cell repeating down the block and an array cell giving one float per
+row.  ``_csv_rows`` alone formats floats, as the repr of a Python float.
 
 A trajectory model is a builder, a layout and a cutoff.  ``full`` is
 the full model and ``collective`` the dispersive model at cutoff 0,
@@ -564,10 +564,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
     noise, gammas = _parse_noise(sections["noise"])
 
     sweep = sections["sweep"]
-    models = sweep.get_str_list("models", {"full", "effective", "collective", "analytic"}, None)
-    runner, default_models, _ = _MODES[mode]
-    # only the sweeps and compare take [sweep] models; the other modes run the table's
-    models = (models or default_models) if runner in (_run_sweep, _run_compare) else default_models
+    models = sweep.get_str_list("models", {"full", "effective", "collective", "analytic"}, _MODES[mode][1])
     exchanges = sweep.get_str_list("exchange", {"zero", "sweet"}, ("sweet",))
     n_min = sweep.get_int("n_min", 1, minimum=1)
     n_max = sweep.get_int("n_max", 10, minimum=1)
@@ -584,9 +581,6 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         if system is None:
             sweep.fail("j_values_over_delta", "needs a [system] section to supply delta")
         j_values = tuple(x * system.detuning for x in j_norm)
-    for key, readers in _J_KEYS.items():
-        if key in sweep and mode not in readers:
-            sweep.fail(key, f"mode {mode!r} does not read it; only {' and '.join(readers)} do")
 
     spec = ExperimentSpec(
         mode=mode,
@@ -607,27 +601,40 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
         ratios=ratios,
         m_max=m_max,
     )
-    _validate_mode(spec, run)
+    _validate_mode(spec, sections)
     return spec
 
 
-def _validate_mode(spec: ExperimentSpec, run: _Section) -> None:
-    if spec.mode == "qsd":
-        if spec.noise is None:
-            raise ConfigError("mode 'qsd' requires a [noise] section")
-    else:
-        system = spec.system
-        if system is None:
-            raise ConfigError(f"mode {spec.mode!r} requires a [system] section")
-        if _MODES[spec.mode][2] and not system.is_uniform():
-            raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
-        if spec.mode == "sweep-j" and spec.j_values is None:
-            raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
+def _validate_mode(spec: ExperimentSpec, sections: dict[str, _Section]) -> None:
+    """The mode's own checks, then the refusal of every section and [sweep] key it does not read."""
+    _, _, uniform, physics, keys = _MODES[spec.mode]
+    run, sweep = sections["run"], sections["sweep"]
+    if "horizon" in run and "horizon_factor" in run:
+        run.fail("horizon_factor", "give either horizon or horizon_factor, not both")
+    if not sections[physics].data:
+        raise ConfigError(f"mode {spec.mode!r} requires a [{physics}] section")
+    if uniform and not spec.system.is_uniform():
+        raise ConfigError(f"mode {spec.mode!r} requires uniform couplings")
+    if spec.mode == "sweep-j" and spec.j_values is None:
+        raise ConfigError("mode 'sweep-j' requires [sweep] j_values_over_delta or j_values")
     # a |G| with a finite inverse can still overflow the default horizon;
     # at N = M = 1 it is the longest over every point of the run
     if not math.isfinite(_horizon(spec)):
         key = "horizon_factor" if "horizon_factor" in run else "horizon"
         run.fail(key, "the default horizon, a multiple of 1/|G|, overflows; set [run] horizon")
+    other = sections["noise" if physics == "system" else "system"]
+    if other.data:
+        other.missing(_unread(spec.mode, [m for m, (*_, section, _) in _MODES.items() if section == other.name]))
+    for key in sweep.data:  # in file order, so the error names the first
+        if key not in keys:
+            sweep.fail(key, _unread(spec.mode, [m for m, (*_, read) in _MODES.items() if key in read]))
+
+
+def _unread(mode: str, readers: list[str]) -> str:
+    """Why mode refuses a section or key: 'only a does', 'only a and b do', 'only a, b and c do'."""
+    *rest, last = readers
+    names = f"{', '.join(rest)} and {last}" if rest else last
+    return f"mode {mode!r} does not read it; only {names} {'do' if rest else 'does'}"
 
 
 # ---------------------------------------------------------------------------
@@ -663,19 +670,10 @@ def _horizon(spec: ExperimentSpec, config: SystemConfig | None = None) -> float:
     return charging_horizon(n, m, _unit(spec), factor=spec.horizon_factor)
 
 
-# the [sweep] keys that set J, and the modes that read each; every other
-# mode takes J from [system] (qsd has none), and refuses these keys
-_J_KEYS = {
-    "exchange": ("sweep-n", "sweep-nm"),
-    "j_values_over_delta": ("sweep-j", "compare"),
-    "j_values": ("sweep-j", "compare"),
-}
-
-
 def _points(spec: ExperimentSpec) -> list[tuple[str, float, SystemConfig]]:
     """(model, J, config) of every trajectory of compare or a sweep: model, then J, then size."""
     base = spec.system
-    if spec.mode in _J_KEYS["exchange"]:
+    if "exchange" in _MODES[spec.mode][4]:
         exchanges = tuple(0.0 if name == "zero" else -_induced(base) for name in spec.exchanges)
     elif spec.j_values is not None:
         exchanges = spec.j_values
@@ -839,17 +837,17 @@ def _run_sweep(spec: ExperimentSpec):
     return columns, blocks
 
 
-# mode -> (runner, its model or default models, needs uniform couplings)
+# mode -> (runner, its model or default models, needs uniform couplings, section read, [sweep] keys read)
 _MODES = {
-    "simulate-full": (_run_trajectory, ("full",), False),
-    "simulate-effective": (_run_trajectory, ("effective",), False),
-    "collective": (_run_trajectory, ("collective",), False),
-    "analytic": (_run_trajectory, ("analytic",), True),
-    "qsd": (_run_qsd, (), False),
-    "sweep-n": (_run_sweep, ("effective",), True),
-    "sweep-nm": (_run_sweep, ("collective",), True),
-    "sweep-j": (_run_sweep, ("effective",), True),
-    "compare": (_run_compare, ("full", "effective"), True),
+    "simulate-full": (_run_trajectory, ("full",), False, "system", ()),
+    "simulate-effective": (_run_trajectory, ("effective",), False, "system", ()),
+    "collective": (_run_trajectory, ("collective",), False, "system", ()),
+    "analytic": (_run_trajectory, ("analytic",), True, "system", ()),
+    "qsd": (_run_qsd, (), False, "noise", ()),
+    "sweep-n": (_run_sweep, ("effective",), True, "system", ("models", "exchange", "n_min", "n_max")),
+    "sweep-nm": (_run_sweep, ("collective",), True, "system", ("models", "exchange", "ratios", "m_max")),
+    "sweep-j": (_run_sweep, ("effective",), True, "system", ("models", "j_values_over_delta", "j_values")),
+    "compare": (_run_compare, ("full", "effective"), True, "system", ("models", "j_values_over_delta", "j_values")),
 }
 MODES = tuple(_MODES)
 

@@ -386,6 +386,44 @@ _NOISE = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"  # 5 lines
             "line 8: [sweep] j_values",
             "mode 'qsd' does not read it; only sweep-j and compare do",
         ),
+        # so is every other [sweep] key and physics section the mode does not read
+        (
+            _INPUT.replace("simulate-full", "sweep-nm") + "\n[sweep]\nn_max = 5\n",
+            "line 9: [sweep] n_max",
+            "mode 'sweep-nm' does not read it; only sweep-n does",
+        ),
+        (
+            _INPUT.replace("simulate-full", "simulate-effective") + "\n[sweep]\nratios = 3\nn_max = 5\n",
+            "line 9: [sweep] ratios",
+            "mode 'simulate-effective' does not read it; only sweep-nm does",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-j") + "\n[sweep]\nj_values_over_delta = 0.01\nm_max = 2\n",
+            "line 10: [sweep] m_max",
+            "mode 'sweep-j' does not read it; only sweep-nm does",
+        ),
+        (
+            _INPUT + "\n[sweep]\nmodels = effective\n",
+            "line 9: [sweep] models",
+            "mode 'simulate-full' does not read it; only sweep-n, sweep-nm, sweep-j and compare do",
+        ),
+        (
+            _NOISE + "\n[sweep]\nmodels = full\n",
+            "line 8: [sweep] models",
+            "mode 'qsd' does not read it; only sweep-n, sweep-nm, sweep-j and compare do",
+        ),
+        (_INPUT + "\n[noise]\ng_over_delta = 0.1\n", None, "[noise]: mode 'simulate-full' does not read it; only qsd does"),
+        (
+            _NOISE + "\n[system]\ng_over_delta = 0.1\n",
+            None,
+            "[system]: mode 'qsd' does not read it; only simulate-full, simulate-effective, collective, "
+            "analytic, sweep-n, sweep-nm, sweep-j and compare do",
+        ),
+        (
+            _INPUT.replace("simulate-full", "simulate-full\nhorizon = 50.0\nhorizon_factor = 2.0"),
+            "line 4: [run] horizon_factor",
+            "give either horizon or horizon_factor, not both",
+        ),
     ],
     ids=[
         "number", "non-finite-number", "space-separated-list", "non-integer-entry", "small-entry",
@@ -393,6 +431,8 @@ _NOISE = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"  # 5 lines
         "noise-without-g", "j-values-without-system", "unknown-run-mode", "system-mode-without-system",
         "one-register-coupled", "non-finite-noise-coupling", "sweep-n-j-values", "sweep-nm-j-values",
         "compare-exchange", "sweep-j-exchange", "trajectory-exchange", "qsd-j-values",
+        "sweep-nm-n-max", "trajectory-ratios", "sweep-j-m-max", "trajectory-models", "qsd-models",
+        "system-mode-with-noise", "qsd-with-system", "horizon-and-factor",
     ],
 )
 def test_config_input_errors(text, where, message):
@@ -400,6 +440,13 @@ def test_config_input_errors(text, where, message):
     with pytest.raises(ConfigError) as caught:
         parse_config(text)
     assert str(caught.value) == (message if where is None else f"{where}: {message}")
+
+
+def test_every_sweep_key_has_a_reader():
+    # each mode reads one physics section, and every [sweep] key is read by some mode
+    rows = experiments._MODES.values()
+    assert {section for *_, section, _ in rows} == {"system", "noise"}
+    assert set().union(*(keys for *_, keys in rows)) == experiments._KNOWN_KEYS["sweep"]
 
 
 def test_bad_scalar_values():
@@ -545,8 +592,7 @@ _SYSTEM = "[system]\nn_charger = 2\nm_battery = 1\ng_over_delta = 0.1\n"
 
 # mode -> (config body, CSV header, data rows)
 _MODE_RUNS = {
-    # [sweep] models is ignored: simulate-full runs the full model
-    "simulate-full": (_SYSTEM + "\n[sweep]\nmodels = effective\n", "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
+    "simulate-full": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
     "simulate-effective": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
     "collective": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
     "analytic": (_SYSTEM, "t,E_over_omega,P_over_Gomega,norm,n_magnon", 21),
@@ -670,14 +716,12 @@ n_charger = {n}
 m_battery = {m}
 g_over_delta = 0.1
 j_over_delta = {j}
-
-[sweep]
-models = analytic, effective
 """
     if error is not None:
         with pytest.raises(ConfigError, match=error):
             run_experiment(parse_config(text.replace("compare", "analytic")))
         return
+    text += "\n[sweep]\nmodels = analytic, effective\n"
     rows = _table(run_experiment(parse_config(text)))
     closed, model = (np.array([r[2:] for r in rows if r[0] == name], dtype=float) for name in ("analytic", "effective"))
     assert len(closed) == len(model) > 100
