@@ -48,7 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .hilbert import HamiltonianMatrix, SectorBasis, StateVector, _assemble, _check_compatible
+from .hilbert import (
+    HamiltonianMatrix,
+    SectorBasis,
+    StateVector,
+    _assemble,
+    _check_compatible,
+    _expectation,
+)
 
 __all__ = [
     "Trajectory",
@@ -461,9 +468,7 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
     _, exchange = _check_compatible(config, basis)
     exchange[: basis._mode] = 0.0  # keep the battery registers' exchange only
     battery = config.omega * basis._counts()[2]
-    h_battery = _assemble(basis, battery, None, exchange)
-    amps = psi.amplitudes
-    return float(np.vdot(amps, h_battery @ amps).real)
+    return _expectation(_assemble(basis, battery, None, exchange), psi.amplitudes)
 
 
 def charging_horizon(

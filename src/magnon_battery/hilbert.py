@@ -44,9 +44,18 @@ diagonal (nothing for a single spin, where it is skipped).
 
 Every amplitude is real, so the assembler emits float64 values and a
 ``HamiltonianMatrix`` stores the dtype it is given, promoted to at least
-float64: real builds stay real (half the bytes of complex), and their
-Hermitian check is a symmetry check.  Only the dense path of ``evolve``
-makes a complex copy; the Chebyshev path applies the real matrix.
+float64: real builds stay real (half the bytes of complex).  Only the
+dense path of ``evolve`` makes a complex copy; the Chebyshev path applies
+the real matrix.
+
+The Hermitian check of a built matrix is made in the move table, not on
+the matrix.  Each hop is stored with its reverse, whose value is the same
+product of the same numbers, so ``_assemble``'s output is symmetric bit
+for bit exactly when its flip-flop matrix is, and holds no NaN when its
+inputs hold none.  ``_assemble`` checks those two conditions, and the
+builders store its output without forming the adjoint, a full second
+copy of the matrix.  A matrix from outside the package keeps the adjoint
+check.
 
 A config splits its spins into exact symmetry classes
 (``SystemConfig._classes``).  The Hamiltonian and the charged initial
@@ -183,9 +192,16 @@ class HamiltonianMatrix:
     matrix is symmetric), a complex input stays complex.  A canonical
     CSR input is stored as given, not copied; any other is copied first,
     so the caller's matrix is never reordered in place.
+
+    A matrix from outside the package is compared with its adjoint, a
+    full second copy of it, and refused if any entry differs.  The
+    package's builders pass ``_symmetric=True`` instead, for matrices
+    symmetric by construction: ``_assemble`` has checked the inputs that
+    make its output symmetric bit for bit, and the excitation count is
+    diagonal.  Their matrices are stored without that copy.
     """
 
-    def __init__(self, matrix: sp.spmatrix, basis: SectorBasis):
+    def __init__(self, matrix: sp.spmatrix, basis: SectorBasis, *, _symmetric: bool = False):
         csr = sp.csr_matrix(matrix)
         if not csr.has_canonical_format:
             csr = csr.copy()
@@ -195,12 +211,13 @@ class HamiltonianMatrix:
             raise ValueError(
                 f"matrix shape {csr.shape} does not match basis dimension {basis.dimension}"
             )
-        adjoint = csr.T.tocsr()  # canonical, like csr
-        if csr.dtype.kind == "c":
-            np.conjugate(adjoint.data, out=adjoint.data)
-        # elementwise != ignores explicit zeros in either pattern and flags a NaN
-        if not _same_entries(csr, adjoint) and (csr != adjoint).nnz:
-            raise ValueError("matrix is not Hermitian")
+        if not _symmetric:
+            adjoint = csr.T.tocsr()  # canonical, like csr
+            if csr.dtype.kind == "c":
+                np.conjugate(adjoint.data, out=adjoint.data)
+            # elementwise != ignores explicit zeros in either pattern and flags a NaN
+            if not _same_entries(csr, adjoint) and (csr != adjoint).nnz:
+                raise ValueError("matrix is not Hermitian")
         self.matrix = csr
         self.basis = basis
 
@@ -217,11 +234,23 @@ class HamiltonianMatrix:
 
     def expectation(self, amplitudes: np.ndarray) -> float:
         """Real expectation value on a state; Hermiticity is guaranteed."""
-        psi = np.asarray(amplitudes, dtype=complex)
-        return float(np.real(np.vdot(psi, self.matrix @ psi)))
+        return _expectation(self.matrix, amplitudes)
 
     def __repr__(self) -> str:
         return f"HamiltonianMatrix(dim={self.dimension}, nnz={self.nnz})"
+
+
+def _expectation(matrix: sp.csr_matrix, amplitudes) -> float:
+    """Re(psi^dag H psi); for a real H, x^T H x + y^T H y with x + iy = psi.
+
+    The real form takes two real CSR products, where the complex product
+    would have scipy copy a real H to complex first.
+    """
+    psi = np.asarray(amplitudes, dtype=complex)
+    if matrix.dtype.kind == "c":
+        return float(np.real(np.vdot(psi, matrix @ psi)))
+    x, y = psi.real, psi.imag
+    return float(x @ (matrix @ x) + y @ (matrix @ y))
 
 
 def _same_entries(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -382,28 +411,51 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     by block, into the two CSR arrays, taken from the heap once their
     length is counted.  A value is the amplitude times the magnon factor,
     then the ladder factors by ascending column.
+
+    The output is symmetric bit for bit by construction, so no transpose
+    is formed to check it.  Every hop move has its reverse in the table,
+    which joins the same two labels from the other row.  The reverse's
+    amplitude is ``flip_flop[t, s]`` against ``flip_flop[s, t]``, or the
+    same g for a mode hop.  Its magnon factor and its ladder factors are
+    read from the larger occupation across the move, so they are the
+    same numbers, and they are multiplied in the same order.  A target
+    outside the basis has no row, so neither entry of its pair is
+    written.  The output is therefore symmetric exactly when
+    ``flip_flop`` is, and it holds a NaN only where the diagonal, the
+    couplings or ``flip_flop`` do.  Both are checked here, at a cost of
+    O(moves + dim), and either failure raises "matrix is not Hermitian",
+    as ``HamiltonianMatrix``'s check of an outside matrix does.
     """
     k = basis._mode
     occ, capacity, keys = basis._occupations, basis._capacity, basis._keys
     dim, width = occ.shape
     regs = np.r_[0:k, k + 1 : width]
     single = capacity[regs].max(initial=0) <= 1  # every ladder factor is exactly 1
+    flip_flop = np.asarray(flip_flop, dtype=float)
     own = np.diag(flip_flop)
     if not single and own.any():
         # sum_{i<j} J (s+_i s-_j + h.c.) = J (S+S- - n) = J n(K-n) on the irrep
         held = occ[:, regs]
         exchange = (held * (capacity[regs] - held)) @ own
         diagonal = exchange if diagonal is None else diagonal + exchange
+    if diagonal is not None:
+        diagonal = np.asarray(diagonal, dtype=float)
+    if couplings is not None:
+        couplings = np.asarray(couplings, dtype=float)
+    # array_equal is False wherever a NaN sits, the diagonal of flip_flop included
+    if not np.array_equal(flip_flop, flip_flop.T) or any(
+        v is not None and np.isnan(v).any() for v in (diagonal, couplings)
+    ):
+        raise ValueError("matrix is not Hermitian")
 
     # move j takes a row to the label with one excitation moved from column
     # x[j] to column y[j]; its entry is the amplitude of the reverse move
     a, b = np.nonzero(np.triu(flip_flop, 1))
     x, y, amp = [regs[a], regs[b]], [regs[b], regs[a]], [flip_flop[b, a], flip_flop[a, b]]
     if couplings is not None:
-        g, mode = np.asarray(couplings, dtype=float), np.full(len(regs), k)
-        x, y, amp = x + [regs, mode], y + [mode, regs], amp + [g, g]
+        mode = np.full(len(regs), k)
+        x, y, amp = x + [regs, mode], y + [mode, regs], amp + [couplings, couplings]
     if diagonal is not None:
-        diagonal = np.asarray(diagonal, dtype=float)
         x, y, amp = x + [[width]], y + [[width]], amp + [[0.0]]
     x, y, amp = map(np.concatenate, (x, y, amp))
     strides = np.append(basis._strides, 0)
@@ -480,13 +532,13 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
     chargers, magnons, batteries = basis._counts()
     diagonal = config.omega * (chargers + batteries) + config.omega_m * magnons
     matrix = _assemble(basis, diagonal, couplings, exchange)
-    return HamiltonianMatrix(matrix, basis)
+    return HamiltonianMatrix(matrix, basis, _symmetric=True)
 
 
 def total_excitation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal total excitation number (constant on a single sector)."""
     total = sum(basis._counts()).astype(float)
-    return HamiltonianMatrix(sp.diags(total, format="csr"), basis)
+    return HamiltonianMatrix(sp.diags(total, format="csr"), basis, _symmetric=True)
 
 
 def basis_state(basis: SectorBasis, label: Label) -> StateVector:

@@ -17,8 +17,10 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from magnon_battery import (
+    HamiltonianMatrix,
     SectorBasis,
     StateVector,
     SystemConfig,
@@ -32,9 +34,10 @@ from magnon_battery import (
     effective_couplings,
     enumerate_composite_basis,
     enumerate_sector_basis,
+    total_excitation_operator,
 )
 from magnon_battery import dynamics
-from magnon_battery.hilbert import _sector
+from magnon_battery.hilbert import _assemble, _check_compatible, _same_entries, _sector
 
 from helpers import class_isometry, disordered, per_side
 
@@ -423,3 +426,123 @@ def test_register_across_two_classes_rejected():
     # a class split further is still exact: spin 2 alone beside spin 0
     finer = _sector(((0,), (1,), (2,), (3, 5), (4,)), 3, 3, 3)
     assert build_full_hamiltonian(cfg, finer).dimension > _sector(cfg._classes, 3, 3, 3).dimension
+
+
+def _symmetry_cases(kind):
+    """(config, basis) pairs of one kind of basis of this file.
+
+    Each basis gets the full model and its battery operator, and the
+    effective model where its cutoff is 0.
+    """
+    if kind == "per-spin":
+        cfg = disordered()
+        bases = [make() for make in BASES.values()]
+        return [(cfg, b) for b in bases + [enumerate_sector_basis(3, 2, 0, e) for e in (1, 2, 3, 4)]]
+    if kind == "class":
+        return [
+            (_register_uniform(n, m, *couplings), _sector(per_side(n, m), n, cutoff, n))
+            for couplings in REGISTER_COUPLINGS
+            for n, m, cutoff in ((2, 2, 2), (3, 3, 1), (4, 3, 4), (6, 4, 0), (3, 2, 0))
+        ]
+    if kind == "mixed":
+        return [
+            (cfg, _sector(classes, cfg.n_charger, cutoff, cfg.n_charger))
+            for cfg, classes in map(_mixed, sorted(MIXED))
+            for cutoff in (cfg.n_charger, 1, 0)
+        ]
+    if kind in ("shuffled", "partial"):
+        rng, cases = np.random.default_rng(5), []
+        for basis in (enumerate_sector_basis(3, 2, 3, 3), enumerate_sector_basis(3, 2, 0, 3)):
+            rows = rng.permutation(basis.dimension)
+            if kind == "partial":
+                rows = rows[: basis.dimension // 2]
+            cases.append((disordered(), _reordered(basis, rows)))
+        return cases
+    seed = int(kind.removeprefix("disordered-7+7-seed"))
+    cfg = disordered(7, 7, seed=seed)
+    return [(cfg, enumerate_sector_basis(7, 7, 7, 7)), (cfg, enumerate_sector_basis(7, 7, 0, 7))]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["per-spin", "class", "mixed", "shuffled", "partial"]
+    + [f"disordered-7+7-seed{seed}" for seed in (0, 1, 2)],
+)
+def test_builder_matrices_equal_their_transpose(kind, monkeypatch):
+    # the adjoint that HamiltonianMatrix no longer forms for the builders,
+    # kept here as the oracle: every builder's CSR arrays equal those of
+    # its transpose bit for bit, explicit zeros included
+    batteries = []
+    plain = dynamics._assemble
+
+    def kept(*args):
+        batteries.append(plain(*args))
+        return batteries[-1]
+
+    monkeypatch.setattr(dynamics, "_assemble", kept)
+    built, cases = [], _symmetry_cases(kind)
+    for cfg, basis in cases:
+        built.append(build_full_hamiltonian(cfg, basis).matrix)
+        battery_energy_full(StateVector(np.eye(1, basis.dimension)[0], basis), basis, cfg)
+        if basis.cutoff == 0:
+            built.append(build_effective_hamiltonian(cfg, basis).matrix)
+    if kind == "per-spin":
+        built += [total_excitation_operator(basis).matrix for _, basis in cases]
+    if kind == "class":
+        built += [build_collective_hamiltonian(-0.01, n, m).matrix for n, m in SIZES]
+    assert len(batteries) == len(cases)
+    for matrix in built + batteries:
+        assert matrix.nnz and _same_entries(matrix, matrix.T.tocsr())
+
+
+def test_assembly_refuses_inputs_that_break_symmetry():
+    # one ulp off symmetric in the flip-flop matrix, or a NaN in the
+    # diagonal, the couplings or the flip-flop matrix (off its diagonal
+    # and on it, which a per-spin basis never reads): each would make the
+    # output fail the adjoint check, so the assembler refuses it
+    for cfg, basis in (
+        (disordered(), enumerate_sector_basis(3, 2, 3, 3)),
+        (_register_uniform(3, 2, *REGISTER_COUPLINGS[-1]), _sector(per_side(3, 2), 3, 3, 3)),
+    ):
+        couplings, flip_flop = _check_compatible(cfg, basis)
+        diagonal = np.arange(basis.dimension, dtype=float)
+        matrix = _assemble(basis, diagonal, couplings, flip_flop)
+        assert _same_entries(matrix, matrix.T.tocsr())
+        ulp, nan_pair, nan_own = flip_flop.copy(), flip_flop.copy(), flip_flop.copy()
+        ulp[0, 1] = np.nextafter(ulp[0, 1], np.inf)
+        nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+        nan_own[0, 0] = np.nan
+        nan_diagonal, nan_couplings = diagonal.copy(), couplings.copy()
+        nan_diagonal[1] = np.nan
+        nan_couplings[-1] = np.nan
+        for args in (
+            (diagonal, couplings, ulp),
+            (diagonal, couplings, ulp.T),
+            (None, None, ulp),
+            (diagonal, couplings, nan_pair),
+            (diagonal, couplings, nan_own),
+            (nan_diagonal, couplings, flip_flop),
+            (nan_diagonal, None, flip_flop),
+            (diagonal, nan_couplings, flip_flop),
+        ):
+            with pytest.raises(ValueError, match="Hermitian"):
+                _assemble(basis, *args)
+
+
+def test_builders_form_no_transpose(monkeypatch):
+    # the builders' matrices are checked in the move table; with every CSR
+    # transpose refused they still build, while an outside matrix, which
+    # keeps the adjoint check, is stopped by the same guard
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("CSR transpose formed")
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", refuse)
+    cfg = disordered(4, 4, seed=0)
+    basis = enumerate_sector_basis(4, 4, 4, 4)
+    full = build_full_hamiltonian(cfg, basis)
+    build_effective_hamiltonian(cfg)
+    build_collective_hamiltonian(-0.01, 4, 4)
+    total_excitation_operator(basis)
+    battery_energy_full(charged_initial_state(basis), basis, cfg)
+    with pytest.raises(AssertionError, match="transpose"):
+        HamiltonianMatrix(full.matrix, basis)

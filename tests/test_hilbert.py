@@ -321,12 +321,30 @@ def test_evolve_real_storage_is_bit_identical_to_complex(threshold):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
 
+def test_expectation_of_a_real_matrix_matches_the_complex_product():
+    # a real matrix takes x^T H x + y^T H y from two real products; the
+    # complex vdot it replaced, on the same matrix, is the reference
+    cfg = disordered(4, 4, seed=0)
+    rng = np.random.default_rng(2)
+    full = build_full_hamiltonian(cfg, enumerate_sector_basis(4, 4, 4, 4))
+    for h in (full, build_effective_hamiltonian(cfg)):
+        assert h.matrix.dtype == np.float64
+        amps = rng.standard_normal(h.dimension) + 1j * rng.standard_normal(h.dimension)
+        amps /= np.linalg.norm(amps)
+        want = np.vdot(amps, h.matrix.astype(complex) @ amps).real
+        assert abs(h.expectation(amps) - want) <= 1e-12 * max(1.0, abs(want))
+        cplx = HamiltonianMatrix(h.matrix.astype(complex), h.basis)
+        assert abs(cplx.expectation(amps) - want) <= 1e-12 * max(1.0, abs(want))
+        assert h.expectation(amps.real) == pytest.approx(amps.real @ h.matrix @ amps.real, rel=1e-12)
+
+
 def test_full_build_peak_memory_per_entry():
     # tracemalloc counts numpy's allocations, so the peak per stored entry
     # does not depend on the machine: int32 indices, CSR rows written in
-    # place in blocks of a few MiB, and no complex copy keep it near 26
-    # bytes, 12 of them the CSR's own indices and values and most of the
-    # rest the Hermitian check's transpose (60 with int64 parts, their
+    # place in blocks of a few MiB, no complex copy and no transpose keep
+    # it near 22 bytes, 12 of them the CSR's own indices and values and
+    # most of the rest the block temporaries of the assembler (26 with the
+    # Hermitian check's transpose; 60 with int64 parts, their
     # concatenation and complex storage)
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 7, 7)
@@ -341,8 +359,8 @@ def test_full_build_peak_memory_per_entry():
 
 
 def test_effective_build_peak_memory_per_entry():
-    # the same bound for the spin-only build (about 25 bytes per stored
-    # entry); the basis is enumerated outside the trace
+    # the same bound for the spin-only build (about 24 bytes per stored
+    # entry, 25 with the transpose); the basis is enumerated outside the trace
     cfg = disordered(7, 7, seed=0)
     basis = enumerate_sector_basis(7, 7, 0, 7)
     tracemalloc.start()
