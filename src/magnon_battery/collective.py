@@ -63,7 +63,7 @@ def build_collective_hamiltonian(
     sides = (tuple(range(n_charger)), tuple(range(n_charger, n_charger + m_battery)))
     basis = _sector(sides, n_charger, 0, n_charger)
     exchange = np.array([[0.0, coupling], [coupling, 0.0]])
-    return HamiltonianMatrix(_assemble(basis, None, None, exchange), basis, _symmetric=True)
+    return _assemble(basis, None, None, exchange)
 
 
 def dicke_embed(state: StateVector) -> StateVector:

@@ -54,7 +54,6 @@ from .hilbert import (
     StateVector,
     _assemble,
     _check_compatible,
-    _expectation,
 )
 
 __all__ = [
@@ -465,10 +464,12 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
     every closed-form result drops.  On a battery register of K spins
     holding n, its own exchange term is J n(K - n).
     """
+    if not psi.basis._matches(basis):
+        raise ValueError("psi is a state of another basis than basis")
     _, exchange = _check_compatible(config, basis)
     exchange[: basis._mode] = 0.0  # keep the battery registers' exchange only
     battery = config.omega * basis._counts()[2]
-    return _expectation(_assemble(basis, battery, None, exchange), psi.amplitudes)
+    return _assemble(basis, battery, None, exchange).expectation(psi.amplitudes)
 
 
 def charging_horizon(

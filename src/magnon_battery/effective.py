@@ -118,7 +118,7 @@ def build_effective_hamiltonian(
         basis = enumerate_sector_basis(config.n_charger, config.m_battery, 0, config.n_charger)
     g, exchange = _check_compatible(config, basis, mode=False)
     flip_flop = exchange + _pair_couplings(g, config)
-    return HamiltonianMatrix(_assemble(basis, None, None, flip_flop), basis, _symmetric=True)
+    return _assemble(basis, None, None, flip_flop)
 
 
 def sweet_spot_j(couplings: EffectiveCouplings) -> float:

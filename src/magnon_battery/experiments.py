@@ -27,7 +27,8 @@ trajectory mode) or default models (a sweep or compare), whether it
 needs couplings uniform over every spin (the closed forms, the sweeps
 and compare, which read one induced coupling G or one J), the physics
 section it reads and the [sweep] keys it reads; a config that sets any
-other [sweep] key or physics section is refused.  A runner returns the
+other [sweep] key or physics section is refused, and so is a [system] J
+where the [sweep] grid sets J.  A runner returns the
 CSV columns and a list of blocks; a block is a tuple of cells, a str
 cell repeating down the block and an array cell giving one float per
 row.  ``_csv_rows`` alone formats floats, as the repr of a Python float.
@@ -606,7 +607,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
 
 
 def _validate_mode(spec: ExperimentSpec, sections: dict[str, _Section]) -> None:
-    """The mode's own checks, then the refusal of every section and [sweep] key it does not read."""
+    """The mode's own checks, then the refusal of every section, [sweep] key and [system] J it does not read."""
     _, _, uniform, physics, keys = _MODES[spec.mode]
     run, sweep = sections["run"], sections["sweep"]
     if "horizon" in run and "horizon_factor" in run:
@@ -628,6 +629,12 @@ def _validate_mode(spec: ExperimentSpec, sections: dict[str, _Section]) -> None:
     for key in sweep.data:  # in file order, so the error names the first
         if key not in keys:
             sweep.fail(key, _unread(spec.mode, [m for m, (*_, read) in _MODES.items() if key in read]))
+    if "exchange" in keys or spec.j_values is not None:  # the grid's J replaces every [system] J
+        grid = "exchange" if "exchange" in keys else next(k for k in keys if k.startswith("j_") and k in sweep)
+        system = sections["system"]
+        for key in system.data:
+            if key.removesuffix("_over_delta") in _COUPLINGS[3:]:
+                system.fail(key, f"mode {spec.mode!r} takes J from [sweep] {grid}, not from [system]")
 
 
 def _unread(mode: str, readers: list[str]) -> str:

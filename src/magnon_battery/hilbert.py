@@ -28,9 +28,9 @@ amount, so a dense key -> position table (``searchsorted`` over the
 sorted keys where the key space is too large for one) finds the targets
 of every row, whatever the label order; targets outside the basis (a
 truncated cutoff, another sector) are dropped.  The one assembler
-``_assemble`` writes the full model, the effective model, the battery
-energy operator and the collective model straight into CSR rows, from a
-diagonal, per-register mode couplings and a register flip-flop matrix;
+``_assemble`` writes every operator (the full, effective, battery and
+collective models and the excitation count) straight into CSR rows, from
+a diagonal, per-register mode couplings and a register flip-flop matrix;
 the rows are counted first, so the index and value arrays come from the
 heap at their counted length, with no intermediate triplets.
 Lowering a register that holds n of its K excitations carries the ladder
@@ -48,14 +48,10 @@ float64: real builds stay real (half the bytes of complex).  Only the
 dense path of ``evolve`` makes a complex copy; the Chebyshev path applies
 the real matrix.
 
-The Hermitian check of a built matrix is made in the move table, not on
-the matrix.  Each hop is stored with its reverse, whose value is the same
-product of the same numbers, so ``_assemble``'s output is symmetric bit
-for bit exactly when its flip-flop matrix is, and holds no NaN when its
-inputs hold none.  ``_assemble`` checks those two conditions, and the
-builders store its output without forming the adjoint, a full second
-copy of the matrix.  A matrix from outside the package keeps the adjoint
-check.
+``_assemble`` returns the ``HamiltonianMatrix`` itself, and it alone
+stores one without forming the adjoint: it checks the inputs that make
+its output symmetric (its docstring gives the argument).  A matrix from
+outside the package keeps the adjoint check.
 
 A config splits its spins into exact symmetry classes
 (``SystemConfig._classes``).  The Hamiltonian and the charged initial
@@ -95,7 +91,7 @@ class SectorBasis:
 
     ``classes`` are the spin classes of the registers, charger classes
     first (see the module docstring).  ``n_excitations`` is the common
-    excitation count of all labels, or ``None`` for a composite
+    excitation count of all labels (checked), or ``None`` for a composite
     (multi-sector) basis used in conservation checks.  ``labels`` may be
     tuples or an integer array of one row per label (an int64 array is
     kept, not copied).  Only the array and its keys are stored: the
@@ -120,6 +116,8 @@ class SectorBasis:
         self._capacity = np.array(capacity)
         if np.any((occ < 0) | (occ > self._capacity)):
             raise ValueError("label outside the spin and magnon occupation ranges")
+        if n_excitations is not None and np.any(occ.sum(axis=1) != n_excitations):
+            raise ValueError(f"label outside the sector of {n_excitations} excitations")
         self._occupations = occ
         radix = [k + 1 for k in capacity]
         # keys beyond 63 bits (N + M above ~60 spins) stay exact as Python ints
@@ -194,11 +192,9 @@ class HamiltonianMatrix:
     so the caller's matrix is never reordered in place.
 
     A matrix from outside the package is compared with its adjoint, a
-    full second copy of it, and refused if any entry differs.  The
-    package's builders pass ``_symmetric=True`` instead, for matrices
-    symmetric by construction: ``_assemble`` has checked the inputs that
-    make its output symmetric bit for bit, and the excitation count is
-    diagonal.  Their matrices are stored without that copy.
+    full second copy of it, and refused if any entry differs.  Only
+    ``_assemble`` skips that copy, by the private ``_symmetric`` flag; its
+    docstring says why its output needs none.
     """
 
     def __init__(self, matrix: sp.spmatrix, basis: SectorBasis, *, _symmetric: bool = False):
@@ -233,24 +229,18 @@ class HamiltonianMatrix:
         return self.matrix.toarray()
 
     def expectation(self, amplitudes: np.ndarray) -> float:
-        """Real expectation value on a state; Hermiticity is guaranteed."""
-        return _expectation(self.matrix, amplitudes)
+        """Re(psi^dag H psi); for a real H, x^T H x + y^T H y with x + iy = psi.
+
+        Two real CSR products, where psi^dag H psi would copy H to complex.
+        """
+        psi, h = np.asarray(amplitudes, dtype=complex), self.matrix
+        if h.dtype.kind == "c":
+            return float(np.real(np.vdot(psi, h @ psi)))
+        x, y = psi.real, psi.imag
+        return float(x @ (h @ x) + y @ (h @ y))
 
     def __repr__(self) -> str:
         return f"HamiltonianMatrix(dim={self.dimension}, nnz={self.nnz})"
-
-
-def _expectation(matrix: sp.csr_matrix, amplitudes) -> float:
-    """Re(psi^dag H psi); for a real H, x^T H x + y^T H y with x + iy = psi.
-
-    The real form takes two real CSR products, where the complex product
-    would have scipy copy a real H to complex first.
-    """
-    psi = np.asarray(amplitudes, dtype=complex)
-    if matrix.dtype.kind == "c":
-        return float(np.real(np.vdot(psi, matrix @ psi)))
-    x, y = psi.real, psi.imag
-    return float(x @ (matrix @ x) + y @ (matrix @ y))
 
 
 def _same_entries(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -390,8 +380,8 @@ def _check_compatible(config: SystemConfig, basis: SectorBasis, mode: bool = Tru
 _BLOCK_CELLS = 2**17
 
 
-def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matrix:
-    """Real sparse matrix of an excitation-conserving Hamiltonian on the basis.
+def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> HamiltonianMatrix:
+    """Real symmetric operator of an excitation-conserving Hamiltonian on the basis.
 
     Registers are numbered chargers first, then battery registers.
     ``diagonal`` holds one value per label, or is None for no diagonal.
@@ -424,7 +414,8 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
     ``flip_flop`` is, and it holds a NaN only where the diagonal, the
     couplings or ``flip_flop`` do.  Both are checked here, at a cost of
     O(moves + dim), and either failure raises "matrix is not Hermitian",
-    as ``HamiltonianMatrix``'s check of an outside matrix does.
+    as ``HamiltonianMatrix``'s check of an outside matrix does.  So only
+    here is a ``HamiltonianMatrix`` stored without its adjoint check.
     """
     k = basis._mode
     occ, capacity, keys = basis._occupations, basis._capacity, basis._keys
@@ -515,7 +506,7 @@ def _assemble(basis: SectorBasis, diagonal, couplings, flip_flop) -> sp.csr_matr
         indices, data = indices[~missing], data[~missing]
     csr = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     csr.sort_indices()  # already sorted on a basis in descending key order
-    return csr
+    return HamiltonianMatrix(csr, basis, _symmetric=True)
 
 
 def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> HamiltonianMatrix:
@@ -523,22 +514,20 @@ def build_full_hamiltonian(config: SystemConfig, basis: SectorBasis) -> Hamilton
 
     Free part omega*(spin excitations) + omega_m*n_magnon, flip-flop
     exchange within each register, and spin-mode exchange with bosonic
-    factors sqrt(n), sqrt(n+1).  Every off-diagonal term is emitted
-    together with its conjugate partner, so the matrix is Hermitian by
-    construction.  Each register of the basis must lie inside one
-    symmetry class of the config.
+    factors sqrt(n), sqrt(n+1).  ``_assemble`` says why the matrix is
+    Hermitian without an adjoint check.  Each register of the basis must
+    lie inside one symmetry class of the config.
     """
     couplings, exchange = _check_compatible(config, basis)
     chargers, magnons, batteries = basis._counts()
     diagonal = config.omega * (chargers + batteries) + config.omega_m * magnons
-    matrix = _assemble(basis, diagonal, couplings, exchange)
-    return HamiltonianMatrix(matrix, basis, _symmetric=True)
+    return _assemble(basis, diagonal, couplings, exchange)
 
 
 def total_excitation_operator(basis: SectorBasis) -> HamiltonianMatrix:
     """Diagonal total excitation number (constant on a single sector)."""
-    total = sum(basis._counts()).astype(float)
-    return HamiltonianMatrix(sp.diags(total, format="csr"), basis, _symmetric=True)
+    registers = len(basis._classes)
+    return _assemble(basis, sum(basis._counts()), None, np.zeros((registers, registers)))
 
 
 def basis_state(basis: SectorBasis, label: Label) -> StateVector:

@@ -324,8 +324,9 @@ def test_csr_arrays_are_pinned(monkeypatch):
     plain = dynamics._assemble
 
     def kept(*args):
-        built["battery"] = plain(*args)
-        return built["battery"]
+        operator = plain(*args)
+        built["battery"] = operator.matrix
+        return operator
 
     monkeypatch.setattr(dynamics, "_assemble", kept)
     cfg = disordered(4, 4, seed=0)
@@ -476,8 +477,9 @@ def test_builder_matrices_equal_their_transpose(kind, monkeypatch):
     plain = dynamics._assemble
 
     def kept(*args):
-        batteries.append(plain(*args))
-        return batteries[-1]
+        operator = plain(*args)
+        batteries.append(operator.matrix)
+        return operator
 
     monkeypatch.setattr(dynamics, "_assemble", kept)
     built, cases = [], _symmetry_cases(kind)
@@ -506,7 +508,7 @@ def test_assembly_refuses_inputs_that_break_symmetry():
     ):
         couplings, flip_flop = _check_compatible(cfg, basis)
         diagonal = np.arange(basis.dimension, dtype=float)
-        matrix = _assemble(basis, diagonal, couplings, flip_flop)
+        matrix = _assemble(basis, diagonal, couplings, flip_flop).matrix
         assert _same_entries(matrix, matrix.T.tocsr())
         ulp, nan_pair, nan_own = flip_flop.copy(), flip_flop.copy(), flip_flop.copy()
         ulp[0, 1] = np.nextafter(ulp[0, 1], np.inf)
@@ -543,6 +545,12 @@ def test_builders_form_no_transpose(monkeypatch):
     build_effective_hamiltonian(cfg)
     build_collective_hamiltonian(-0.01, 4, 4)
     total_excitation_operator(basis)
+    # the count goes through the assembler too: its diagonal, the vacuum's
+    # explicit 0.0 included, is each label's summed occupation
+    composite = enumerate_composite_basis(2, 2, 2)
+    count = total_excitation_operator(composite)
+    assert count.nnz == composite.dimension
+    assert np.array_equal(count.toarray(), np.diag(np.sum(composite.labels, axis=1)))
     battery_energy_full(charged_initial_state(basis), basis, cfg)
     with pytest.raises(AssertionError, match="transpose"):
         HamiltonianMatrix(full.matrix, basis)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from magnon_battery import (
+    SectorBasis,
     StateVector,
     SystemConfig,
     basis_state,
@@ -396,6 +397,15 @@ def test_battery_energy_full_includes_exchange():
     assert battery_energy_full(psi, basis, cfg) == pytest.approx(3.0 + 0.5)
     bare = basis_state(basis, (0, 0, 1, 0))
     assert battery_energy_full(bare, basis, cfg) == pytest.approx(3.0)
+    # a state of another basis is refused: the same labels reversed, where
+    # the charged state would read 20.0, and a basis of 15 states
+    cfg = SystemConfig.dispersive(2, 3, g_over_delta=0.1, j_over_delta=0.05)
+    basis = enumerate_sector_basis(2, 3, 2, 2)
+    charged = charged_initial_state(basis)
+    assert battery_energy_full(charged, basis, cfg) == 0.0
+    for other in (SectorBasis(basis._classes, 2, 2, basis.labels[::-1], 2), enumerate_sector_basis(2, 3, 1, 2)):
+        with pytest.raises(ValueError, match="another basis"):
+            battery_energy_full(charged, other, cfg)
 
 
 def test_charging_horizon():

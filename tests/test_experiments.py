@@ -424,6 +424,28 @@ _NOISE = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"  # 5 lines
             "line 4: [run] horizon_factor",
             "give either horizon or horizon_factor, not both",
         ),
+        # a [system] J is refused where the [sweep] grid sets J
+        (
+            _INPUT.replace("simulate-full", "sweep-n") + "j_over_delta = 0.01\n",
+            "line 7: [system] j_over_delta",
+            "mode 'sweep-n' takes J from [sweep] exchange, not from [system]",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-nm") + "j_charger_over_delta = 0 0; 0 0\n\n[sweep]\nexchange = zero\n",
+            "line 7: [system] j_charger_over_delta",
+            "mode 'sweep-nm' takes J from [sweep] exchange, not from [system]",
+        ),
+        (
+            _INPUT.replace("simulate-full", "sweep-j") + "j_over_delta = 0.01\n\n[sweep]\nj_values_over_delta = 0.01\n",
+            "line 7: [system] j_over_delta",
+            "mode 'sweep-j' takes J from [sweep] j_values_over_delta, not from [system]",
+        ),
+        (
+            _INPUT.replace("simulate-full", "compare").replace("= 2", "= 2\nj_battery_over_delta = 0")
+            + "\n[sweep]\nj_values = 0.01\n",
+            "line 6: [system] j_battery_over_delta",
+            "mode 'compare' takes J from [sweep] j_values, not from [system]",
+        ),
     ],
     ids=[
         "number", "non-finite-number", "space-separated-list", "non-integer-entry", "small-entry",
@@ -432,7 +454,8 @@ _NOISE = "[run]\nmode = qsd\n\n[noise]\ng_over_delta = 0.1\n"  # 5 lines
         "one-register-coupled", "non-finite-noise-coupling", "sweep-n-j-values", "sweep-nm-j-values",
         "compare-exchange", "sweep-j-exchange", "trajectory-exchange", "qsd-j-values",
         "sweep-nm-n-max", "trajectory-ratios", "sweep-j-m-max", "trajectory-models", "qsd-models",
-        "system-mode-with-noise", "qsd-with-system", "horizon-and-factor",
+        "system-mode-with-noise", "qsd-with-system", "horizon-and-factor", "sweep-n-system-j",
+        "sweep-nm-system-j", "sweep-j-system-j", "compare-system-j",
     ],
 )
 def test_config_input_errors(text, where, message):
@@ -686,6 +709,9 @@ def test_compare_schema_and_default_j():
     assert len(rows) == 2 * 51  # (full, effective) x samples, J defaults to 0
     assert {r[0] for r in rows} == {"full", "effective"}
     assert {r[1] for r in rows} == {"0.0"}
+    # without [sweep] j_values, compare reads J from [system]
+    text = MINIMAL.replace("simulate-effective", "compare").replace("n_charger = 1", "n_charger = 2")
+    assert {r[1] for r in _table(run_experiment(parse_config(text + "j_over_delta = 0.01\n")))} == {"0.01"}
 
 
 def _table(text):

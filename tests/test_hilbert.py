@@ -420,6 +420,12 @@ def test_labels_outside_occupation_ranges_rejected():
         SectorBasis(((0,), (1,)), 1, 1, ((0, 2, 0),), None)
     with pytest.raises(ValueError, match="occupation ranges"):
         SectorBasis(((0,), (1,)), 1, 1, ((2, 0, 0),), None)
+    # in range but outside the sector: the charged state of this basis
+    # would embed to a zero-norm state on the 3-excitation per-spin sector
+    with pytest.raises(ValueError, match="sector of 3 excitations"):
+        SectorBasis(((0, 1), (2, 3)), 2, 0, [(2, 0, 0), (1, 0, 1), (0, 0, 2)], 3)
+    with pytest.raises(ValueError, match="sector of 1 excitations"):
+        SectorBasis(((0,), (1,)), 1, 1, ((1, 0, 0), (0, 0, 0)), 1)
 
 
 def test_duplicate_labels_rejected():
