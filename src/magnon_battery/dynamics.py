@@ -4,8 +4,9 @@
 operator produced by this package and samples the battery observables
 on a caller-supplied time grid, on the cheaper of two propagators.  A
 full Hermitian eigendecomposition makes the phase evolution exact to
-rounding; it costs about dim^3 and holds dim x dim complex arrays, so it
-runs up to ``DENSE_THRESHOLD`` states (2048) only.  A Chebyshev
+rounding, up to phases w t that keep no digit (eps |w t| >= 1, refused);
+it costs about dim^3 and holds dim x dim complex arrays, so it runs up
+to ``DENSE_THRESHOLD`` states (2048) only.  A Chebyshev
 expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
 1984) costs about r path sparse products, r the Gershgorin half-width
 of H: one step length and one order, set from ``tol`` by the Bessel
@@ -91,7 +92,7 @@ _log = logging.getLogger(__name__)
 # 1e-13, rounding in the Chebyshev recurrence, not truncation, bounds the
 # error, and it grows with the path (per-spin 3+3 at tol = eps: 4.3e-14
 # over t in [0, 3], 3.7e-13 over [0, 30]); the dense path is exact to
-# rounding whatever tol is
+# rounding whatever tol is, and keeps a phase w t to eps |w t| (see _dense)
 _MIN_TOL = float(np.finfo(float).eps)
 
 # bytes of one Chebyshev move's vectors, and of one sample block's
@@ -144,7 +145,9 @@ def evolve(
     """Propagate psi0, the state at t = 0, under h and sample observables on the grid.
 
     It takes the cheaper propagator (see ``_choose``).  The dense path is
-    exact to rounding, whatever ``tol`` is.  On the Chebyshev path, which
+    exact to rounding, whatever ``tol`` is, and raises ``FloatingPointError``
+    where eps max|w| max|t| >= 1 leaves no digit of a phase; below that a
+    phase is off by about eps |w t|.  On the Chebyshev path, which
     every model above ``DENSE_THRESHOLD`` states takes, ``tol`` bounds the
     error of the state at every sample down to about 1e-13, where float64
     rounding in the recurrence takes over, more so on a longer path (see
@@ -254,7 +257,7 @@ def _choose(matrix, times: np.ndarray, tol: float, bounds: tuple[float, float]):
     logged at DEBUG.
     """
     dim, nnz, samples, half = matrix.shape[0], matrix.nnz, times.size, bounds[1]
-    path = abs(times[0]) + (times[-1] - times[0])
+    path = float(abs(times[0]) + (times[-1] - times[0]))  # r path overflows to inf without a warning
     a, b, e = _DENSE_COST
     dense = dim * (a * dim * dim + samples * (b * dim + e)) if dim <= DENSE_THRESHOLD else math.inf
     c, f, g, h = _CHEBYSHEV_COST
@@ -333,8 +336,15 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _dense(matrix, amps0, times):
-    """Amplitude blocks from the eigendecomposition of the matrix (complex: see above)."""
+    """Amplitude blocks from the eigendecomposition of the matrix (complex: see above).
+
+    A phase w t is off by about eps |w t|; where eps max|w| max|t| >= 1 it
+    keeps no digit, and like a walk whose times stand still it raises.
+    """
     w, v = np.linalg.eigh(matrix.astype(complex, copy=False).toarray())
+    reach = float(np.abs(w).max()) * float(np.abs(times).max())  # Python floats: overflow reads inf, no warning
+    if not _MIN_TOL * reach < 1.0:
+        raise FloatingPointError(f"phases of up to {reach:.3g} rad are out of reach in float64")
     coeff = v.conj().T @ amps0
     rows = _block_rows(len(w))
     for start in range(0, times.size, rows):
@@ -464,12 +474,10 @@ def battery_energy_full(psi: StateVector, basis: SectorBasis, config: SystemConf
     every closed-form result drops.  On a battery register of K spins
     holding n, its own exchange term is J n(K - n).
     """
-    if not psi.basis._matches(basis):
-        raise ValueError("psi is a state of another basis than basis")
     _, exchange = _check_compatible(config, basis)
     exchange[: basis._mode] = 0.0  # keep the battery registers' exchange only
     battery = config.omega * basis._counts()[2]
-    return _assemble(basis, battery, None, exchange).expectation(psi.amplitudes)
+    return _assemble(basis, battery, None, exchange).expectation(psi)
 
 
 def charging_horizon(

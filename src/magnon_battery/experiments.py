@@ -28,7 +28,8 @@ needs couplings uniform over every spin (the closed forms, the sweeps
 and compare, which read one induced coupling G or one J), the physics
 section it reads and the [sweep] keys it reads; a config that sets any
 other [sweep] key or physics section is refused, and so is a [system] J
-where the [sweep] grid sets J.  A runner returns the
+where the [sweep] grid sets J.  The rows are the one list of the [sweep]
+keys and of the models a [sweep] may name.  A runner returns the
 CSV columns and a list of blocks; a block is a tuple of cells, a str
 cell repeating down the block and an array cell giving one float per
 row.  ``_csv_rows`` alone formats floats, as the repr of a Python float.
@@ -83,6 +84,7 @@ except metadata.PackageNotFoundError:  # running from a bare checkout
 # the coupling keys of [system], each in both unit families (see _units)
 _COUPLINGS = ("g", "g_charger", "g_battery", "j", "j_charger", "j_battery")
 
+# the keys of each section; [sweep] follows after _MODES, whose rows name its keys
 _KNOWN_KEYS = {
     "run": {
         "mode",
@@ -112,16 +114,6 @@ _KNOWN_KEYS = {
         "omega",
         "omega_m",
         "gamma_noise",
-    },
-    "sweep": {
-        "models",
-        "exchange",
-        "n_min",
-        "n_max",
-        "ratios",
-        "m_max",
-        "j_values_over_delta",
-        "j_values",
     },
 }
 
@@ -565,7 +557,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentSpec:
     noise, gammas = _parse_noise(sections["noise"])
 
     sweep = sections["sweep"]
-    models = sweep.get_str_list("models", {"full", "effective", "collective", "analytic"}, _MODES[mode][1])
+    models = sweep.get_str_list("models", _MODELS, _MODES[mode][1])
     exchanges = sweep.get_str_list("exchange", {"zero", "sweet"}, ("sweet",))
     n_min = sweep.get_int("n_min", 1, minimum=1)
     n_max = sweep.get_int("n_max", 10, minimum=1)
@@ -857,6 +849,8 @@ _MODES = {
     "compare": (_run_compare, ("full", "effective"), True, "system", ("models", "j_values_over_delta", "j_values")),
 }
 MODES = tuple(_MODES)
+_KNOWN_KEYS["sweep"] = {key for *_, keys in _MODES.values() for key in keys}
+_MODELS = {model for _, models, *_ in _MODES.values() for model in models}
 
 
 def run_experiment(spec: ExperimentSpec, out: str | None = None) -> str:

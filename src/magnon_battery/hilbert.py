@@ -228,12 +228,20 @@ class HamiltonianMatrix:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def expectation(self, amplitudes: np.ndarray) -> float:
+    def expectation(self, psi: "StateVector | np.ndarray") -> float:
         """Re(psi^dag H psi); for a real H, x^T H x + y^T H y with x + iy = psi.
 
         Two real CSR products, where psi^dag H psi would copy H to complex.
+        A ``StateVector`` must be of this operator's basis; raw amplitudes
+        carry no basis, so only their length is checked.
         """
-        psi, h = np.asarray(amplitudes, dtype=complex), self.matrix
+        if isinstance(psi, StateVector):
+            if not psi.basis._matches(self.basis):
+                raise ValueError("psi is a state of another basis than the operator's")
+            psi = psi.amplitudes
+        psi, h = np.asarray(psi, dtype=complex), self.matrix
+        if psi.shape != (self.dimension,):
+            raise ValueError(f"amplitudes of shape {psi.shape} do not match operator dimension {self.dimension}")
         if h.dtype.kind == "c":
             return float(np.real(np.vdot(psi, h @ psi)))
         x, y = psi.real, psi.imag

@@ -174,6 +174,15 @@ def test_evolve_validation(one_to_one, monkeypatch):
         with dense_threshold(0), pytest.raises(FloatingPointError, match="out of reach"):
             evolve(h, psi0, [0.0, 1e300])
     monkeypatch.undo()
+    # the dense path keeps a phase w t to about eps |w t|: on the full 2+1
+    # model t = 1e16 leaves no digit (eps max|w| t is about 49) and is
+    # refused, and t = 1e12 runs
+    full = build_full_hamiltonian(SystemConfig.dispersive(2, 1, g_over_delta=0.1), enumerate_sector_basis(2, 1, 2, 2))
+    charged = charged_initial_state(full.basis)
+    with dense_threshold(2048):
+        with pytest.raises(FloatingPointError, match="out of reach in float64"):
+            evolve(full, charged, [0.0, 1e16])
+        assert evolve(full, charged, [0.0, 1e12]).norm[-1] == pytest.approx(1.0)
     unbounded = HamiltonianMatrix(np.diag([math.inf, 0.0]), h.basis)
     for threshold in (2048, 0):
         with dense_threshold(threshold), pytest.raises(ValueError, match="Gershgorin"):

@@ -1230,6 +1230,17 @@ def test_cli_unreachable_horizon_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: FloatingPointError" in err
     assert "out of reach in float64" in err
+    # a 2+1 register takes the dense path, whose phases keep no digit at
+    # t = 1e16 (eps max|w| t is about 49), nor at J = 1e300 over 1e300,
+    # where they overflow: refused, with no warning on the way
+    for run, j in (("horizon = 1e16\nsamples = 5", ""), ("horizon = 1e300", "j_over_delta = 1e300\n")):
+        path.write_text(
+            f"[run]\nmode = simulate-full\n{run}\n\n[system]\nn_charger = 2\nm_battery = 1\ng_over_delta = 0.1\n{j}"
+        )
+        assert main(["simulate-full", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: FloatingPointError" in err
+        assert "out of reach in float64" in err
 
 
 @pytest.mark.parametrize("error", [TypeError, NotImplementedError, RecursionError])

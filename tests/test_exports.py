@@ -16,6 +16,12 @@ def test_package_star_import():
     namespace = {}
     exec("from magnon_battery import *", namespace)
     assert set(magnon_battery.__all__) <= set(namespace)
+    # each public name is stated once, in its module's __all__; the package
+    # does not import the command line, and exports the closed forms as a module
+    names = magnon_battery.__all__
+    assert len(names) == len(set(names))
+    for name in set(MODULES) - {"cli", "analytic"}:
+        assert set(importlib.import_module(f"magnon_battery.{name}").__all__) <= set(names)
 
 
 @pytest.mark.parametrize("name", MODULES)

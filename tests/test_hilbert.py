@@ -336,6 +336,17 @@ def test_expectation_of_a_real_matrix_matches_the_complex_product():
         cplx = HamiltonianMatrix(h.matrix.astype(complex), h.basis)
         assert abs(cplx.expectation(amps) - want) <= 1e-12 * max(1.0, abs(want))
         assert h.expectation(amps.real) == pytest.approx(amps.real @ h.matrix @ amps.real, rel=1e-12)
+    # a state must be of the operator's basis; raw amplitudes carry none,
+    # so only their length is checked
+    h = build_effective_hamiltonian(SystemConfig.dispersive(2, 1, g_over_delta=0.1))
+    psi = charged_initial_state(h.basis)
+    assert h.expectation(psi) == h.expectation(psi.amplitudes)
+    with pytest.raises(ValueError, match=r"\(5,\) do not match operator dimension 3"):
+        h.expectation(np.ones(5))
+    stranger = charged_initial_state(build_effective_hamiltonian(SystemConfig.dispersive(1, 2, g_over_delta=0.1)).basis)
+    assert stranger.basis.dimension == 3
+    with pytest.raises(ValueError, match="another basis"):
+        h.expectation(stranger)
 
 
 def test_full_build_peak_memory_per_entry():

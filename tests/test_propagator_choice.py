@@ -148,6 +148,7 @@ def test_walk_out_of_reach_within_the_cap_means_dense(caplog, monkeypatch):
     assert message.startswith("dense: dim 99, nnz 1155, 3 samples, r*path ")
     assert message.endswith("Chebyshev out of reach, inf s")
     caplog.clear()
-    traj = evolve(h, charged_initial_state(h.basis), times, tol=np.finfo(float).eps)
+    # where eps max|w| max|t| >= 1 the dense phases keep no digit either
+    with pytest.raises(FloatingPointError, match="out of reach in float64"):
+        evolve(h, charged_initial_state(h.basis), times, tol=np.finfo(float).eps)
     assert caplog.records[0].getMessage().startswith("dense:")
-    assert np.max(np.abs(traj.norm - 1.0)) <= 1e-12
